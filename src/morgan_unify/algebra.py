@@ -12,7 +12,7 @@ from itertools import product as cartesian
 from typing import Iterator
 
 from .errors import ValidationError
-from .order import Pair, Poset
+from .order import Pair, Poset, search_maps
 
 TAG_BDL = "bounded-distributive"
 TAG_DEMORGAN = "de-morgan"
@@ -234,48 +234,28 @@ def enumerate_homomorphisms(
 ) -> Iterator[Homomorphism]:
     """All homomorphisms dom -> cod (negation-preserving when both carry it).
 
-    Backtracking over a linear extension of the domain; bounds are
-    pinned first and operation preservation is enforced incrementally.
+    By Birkhoff duality a bounded-lattice homomorphism is the same as a
+    monotone map g from the join-irreducibles of cod to those of dom: it
+    sends a to the join of the j with g(j) <= a.  The search runs over
+    these small duals; each candidate is checked in full, and the
+    homomorphisms are listed by their values along dom's linear
+    extension, each in cod's element order.
     """
+    from .duality import join_irreducibles
+
+    ji_dom, ji_cod = join_irreducibles(dom), join_irreducibles(cod)
+    found = []
+    for g in search_maps(ji_cod, ji_dom):
+        mapping = {
+            a: cod.join_all(j for j in ji_cod.elements if dom.carrier.leq(g[j], a))
+            for a in dom.elements
+        }
+        h = make_homomorphism(dom, cod, mapping)
+        try:
+            h.check()
+        except ValidationError:
+            continue
+        found.append(h)
     order = dom.carrier.linear_extension()
-    assigned: dict[str, str] = {}
-    respect_neg = dom.neg is not None and cod.neg is not None
-
-    def consistent(x: str, u: str) -> bool:
-        if x == dom.zero and u != cod.zero:
-            return False
-        if x == dom.one and u != cod.one:
-            return False
-        for y, v in assigned.items():
-            if dom.carrier.leq(y, x) and not cod.carrier.leq(v, u):
-                return False
-            if dom.carrier.leq(x, y) and not cod.carrier.leq(u, v):
-                return False
-            m, j = dom.meet(x, y), dom.join(x, y)
-            if m in assigned and assigned[m] != cod.meet(u, v):
-                return False
-            if j in assigned and assigned[j] != cod.join(u, v):
-                return False
-        return True
-
-    def extend(i: int) -> Iterator[Homomorphism]:
-        if i == len(order):
-            h = make_homomorphism(dom, cod, dict(assigned))
-            try:
-                h.check()
-            except ValidationError:
-                return
-            yield h
-            return
-        x = order[i]
-        xn = dom.neg[x] if respect_neg else None
-        for u in cod.elements:
-            if not consistent(x, u):
-                continue
-            if respect_neg and xn in assigned and assigned[xn] != cod.neg[u]:
-                continue
-            assigned[x] = u
-            yield from extend(i + 1)
-            del assigned[x]
-
-    yield from extend(0)
+    found.sort(key=lambda h: [cod.carrier.index[h(x)] for x in order])
+    yield from found

@@ -319,7 +319,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         _emit({"error": str(exc), "witness": _jsonable(exc.witness)})
         return EXIT_MALFORMED
-    except FileNotFoundError as exc:
+    except OSError as exc:
         _emit({"error": str(exc)})
         return EXIT_MALFORMED
     except SizeGuardError as exc:

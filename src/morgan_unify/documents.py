@@ -21,6 +21,12 @@ Structure = Union[Poset, InvPoset, FiniteAlgebra]
 KINDS = ("poset", "invposet", "algebra")
 
 
+def _is_string_map(value: Any) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(k, str) and isinstance(v, str) for k, v in value.items()
+    )
+
+
 def parse_document(data: dict[str, Any]) -> Structure:
     if not isinstance(data, dict):
         raise ValidationError("document must be a JSON object")
@@ -39,21 +45,22 @@ def parse_document(data: dict[str, Any]) -> Structure:
     else:
         pairs, mode = [], "covers"
     if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 for p in pairs
+        isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
+        for p in pairs
     ):
-        raise ValidationError("relation must be a list of [a, b] pairs")
+        raise ValidationError("relation must be a list of [a, b] string pairs")
     base = validate_poset(elements, [tuple(p) for p in pairs], mode=mode)
 
     if kind == "poset":
         return base
     if kind == "invposet":
         inv = data.get("inv")
-        if not isinstance(inv, dict):
-            raise ValidationError("invposet document needs an 'inv' map")
+        if not _is_string_map(inv):
+            raise ValidationError("invposet document needs an 'inv' map of strings")
         return validate_involutive(base, inv)
     neg = data.get("neg")
-    if neg is not None and not isinstance(neg, dict):
-        raise ValidationError("'neg' must be a map when present")
+    if neg is not None and not _is_string_map(neg):
+        raise ValidationError("'neg' must be a map of strings when present")
     return validate_algebra(base, neg)
 
 

@@ -8,8 +8,6 @@ homomorphism of a monotone map.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .algebra import (
     FiniteAlgebra,
     Homomorphism,
@@ -163,7 +161,3 @@ def canonical_iso(a: FiniteAlgebra) -> Homomorphism:
         mapping[x] = _downset_name(ji, below)
     return make_homomorphism(a, double, mapping)
 
-
-def principal_downsets(p: Poset) -> Iterator[tuple[str, frozenset[str]]]:
-    for x in p.elements:
-        yield x, p._down[x]

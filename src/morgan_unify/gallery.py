@@ -8,7 +8,7 @@ in its variety with the certificate family it illustrates.
 from __future__ import annotations
 
 from .algebra import FiniteAlgebra, validate_algebra
-from .involutive import InvPoset, validate_involutive
+from .involutive import InvPoset, mirror_covers, validate_involutive
 from .order import Poset, validate_poset
 
 
@@ -41,12 +41,7 @@ def _mirror_closure(lower_covers, fixed, swapped):
     for v in swapped:
         inv[v] = "~" + v
         inv["~" + v] = v
-    covers = list(lower_covers)
-    for lo, hi in lower_covers:
-        pair = (inv[hi], inv[lo])
-        if pair not in covers:
-            covers.append(pair)
-    return covers, inv
+    return mirror_covers(lower_covers, inv), inv
 
 
 def k1_pattern_instance() -> InvPoset:

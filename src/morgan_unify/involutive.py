@@ -13,7 +13,14 @@ from itertools import permutations
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
-from .order import MonotoneMap, Pair, Poset, find_isomorphism, validate_poset
+from .order import (
+    MonotoneMap,
+    Pair,
+    Poset,
+    find_isomorphism,
+    search_maps,
+    validate_poset,
+)
 
 InvMap = tuple[Pair, ...]
 
@@ -66,6 +73,16 @@ class InvPoset:
 
 def make_invposet(base: Poset, inv: dict[str, str]) -> InvPoset:
     return InvPoset(base, tuple((x, inv[x]) for x in base.elements))
+
+
+def mirror_covers(covers: list[Pair], inv: dict[str, str]) -> list[Pair]:
+    """Cover pairs together with their involution mirrors, first-seen order."""
+    out = list(covers)
+    for lo, hi in covers:
+        pair = (inv[hi], inv[lo])
+        if pair not in out:
+            out.append(pair)
+    return out
 
 
 def validate_involutive(base: Poset, inv: dict[str, str]) -> InvPoset:
@@ -198,45 +215,11 @@ def kleene_part(p: InvPoset) -> InvPoset:
 def enumerate_inv_morphisms(p: InvPoset, q: InvPoset) -> Iterator[InvMorphism]:
     """All FPM-morphisms p -> q, each exactly once, deterministically.
 
-    Backtracks over involution orbits in a linear extension of the
-    domain, pruning by monotonicity and commutation jointly.
+    Searches involution orbits in a linear extension of the domain,
+    pruning by monotonicity and commutation jointly.
     """
-    order = p.base.linear_extension()
-    assigned: dict[str, str] = {}
-
-    def consistent(x: str, u: str) -> bool:
-        for y, v in assigned.items():
-            if p.base.leq(y, x) and not q.base.leq(v, u):
-                return False
-            if p.base.leq(x, y) and not q.base.leq(u, v):
-                return False
-        return True
-
-    def extend(i: int) -> Iterator[InvMorphism]:
-        while i < len(order) and order[i] in assigned:
-            i += 1
-        if i == len(order):
-            yield make_inv_morphism(p, q, dict(assigned))
-            return
-        x = order[i]
-        xi = p.i(x)
-        for u in q.elements:
-            if x == xi and q.i(u) != u:
-                continue
-            if not consistent(x, u):
-                continue
-            assigned[x] = u
-            if x != xi:
-                ui = q.i(u)
-                if consistent(xi, ui):
-                    assigned[xi] = ui
-                    yield from extend(i + 1)
-                    del assigned[xi]
-            else:
-                yield from extend(i + 1)
-            del assigned[x]
-
-    yield from extend(0)
+    for f in search_maps(p.base, q.base, dom_inv=p.inv, cod_inv=q.inv):
+        yield make_inv_morphism(p, q, f)
 
 
 def find_inv_isomorphism(p: InvPoset, q: InvPoset) -> dict[str, str] | None:

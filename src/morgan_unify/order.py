@@ -1,4 +1,5 @@
-"""Finite posets: validation, subposets, bounds, enumeration, isomorphism.
+"""Finite posets: validation, subposets, bounds, enumeration, isomorphism,
+and the one backtracking search for monotone maps between them.
 
 Element identifiers are opaque strings.  The order relation is stored
 reflexive-transitively closed; the `elements` tuple fixes the canonical
@@ -42,6 +43,22 @@ class Poset:
         for a, b in self.le:
             up[a].add(b)
         return {x: frozenset(s) for x, s in up.items()}
+
+    @cached_property
+    def _masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Down-set and up-set bitmasks over element indices."""
+        idx = self.index
+        down = [0] * len(self.elements)
+        up = [0] * len(self.elements)
+        for a, b in self.le:
+            down[idx[b]] |= 1 << idx[a]
+            up[idx[a]] |= 1 << idx[b]
+        return tuple(down), tuple(up)
+
+    @cached_property
+    def _extension(self) -> tuple[int, ...]:
+        """Element indices along linear_extension()."""
+        return tuple(self.index[x] for x in self.linear_extension())
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -440,6 +457,107 @@ def enumerate_posets_upto(k: int) -> Iterator[Poset]:
                 yield cand
 
 
+def search_maps(
+    dom: Poset,
+    cod: Poset,
+    allowed: dict[str, Iterable[str]] | None = None,
+    dom_inv: dict[str, str] | None = None,
+    cod_inv: dict[str, str] | None = None,
+    injective: bool = False,
+) -> Iterator[dict[str, str]]:
+    """Every monotone map dom -> cod meeting the constraints, as a dict.
+
+    Points are assigned along `dom.linear_extension()` and values tried
+    in `cod.elements` order, so maps come out in lexicographic order of
+    their values along that extension.  `allowed` restricts the value of
+    a point to the given candidates.  With both involutions given, each
+    point is assigned together with its involute (fixed points only to
+    fixed points), so every map commutes with them.  `injective` rejects
+    repeated values.  Backtracking keeps an explicit stack, so deep
+    domains do not hit the recursion limit.
+    """
+    ext = dom._extension
+    n = len(ext)
+    down, up = dom._masks
+    values = cod.elements
+    cdown, cup = cod._masks
+    cand = [(1 << len(values)) - 1] * n
+    if allowed is not None:
+        for x, vs in allowed.items():
+            m = 0
+            for v in vs:
+                m |= 1 << cod.index[v]
+            cand[dom.index[x]] = m
+    mate = list(range(n))
+    cmate: list[int] = []
+    if dom_inv is not None:
+        cmate = [cod.index[cod_inv[v]] for v in values]
+        fixed = sum(1 << j for j, jj in enumerate(cmate) if jj == j)
+        for i, x in enumerate(dom.elements):
+            mate[i] = dom.index[dom_inv[x]]
+            if mate[i] == i:
+                cand[i] &= fixed
+    orbit = [(i,) if ii == i else (i, ii) for i, ii in enumerate(mate)]
+    val = [-1] * n
+    assigned = 0  # points with a value
+    used = 0  # values taken, kept only when injective
+
+    def options(i: int) -> int:
+        m = cand[i] & ~used
+        below = down[i] & assigned
+        while below:
+            low = below & -below
+            below ^= low
+            m &= cup[val[low.bit_length() - 1]]
+        above = up[i] & assigned
+        while above:
+            low = above & -above
+            above ^= low
+            m &= cdown[val[low.bit_length() - 1]]
+        return m
+
+    if n == 0:
+        yield {}
+        return
+    stack = [[0, options(ext[0])]]
+    while stack:
+        frame = stack[-1]
+        t, m = frame
+        i = ext[t]
+        ii = mate[i]
+        for x in orbit[i]:  # undo the previous choice at this frame
+            if val[x] >= 0:
+                assigned ^= 1 << x
+                if injective:
+                    used ^= 1 << val[x]
+                val[x] = -1
+        if not m:
+            stack.pop()
+            continue
+        low = m & -m
+        frame[1] = m ^ low
+        j = low.bit_length() - 1
+        val[i] = j
+        assigned |= 1 << i
+        if injective:
+            used |= low
+        if ii != i:
+            jj = cmate[j]
+            if not options(ii) >> jj & 1:
+                continue
+            val[ii] = jj
+            assigned |= 1 << ii
+            if injective:
+                used |= 1 << jj
+        t += 1
+        while t < n and val[ext[t]] >= 0:
+            t += 1
+        if t == n:
+            yield {dom.elements[x]: values[val[x]] for x in ext}
+        else:
+            stack.append([t, options(ext[t])])
+
+
 def find_isomorphism(
     p: Poset,
     q: Poset,
@@ -465,63 +583,15 @@ def find_isomorphism(
 
     if sorted(map(inv_p, p.elements)) != sorted(map(inv_q, q.elements)):
         return None
-
-    order = p.linear_extension()
-    assigned: dict[str, str] = {}
-    used: set[str] = set()
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        x = order[i]
-        for u in q.elements:
-            if u in used or inv_p(x) != inv_q(u):
-                continue
-            ok = True
-            for y, v in assigned.items():
-                if p.leq(x, y) != q.leq(u, v) or p.leq(y, x) != q.leq(v, u):
-                    ok = False
-                    break
-                if op_p is not None:
-                    if op_p[y] == x and op_q[v] != u:
-                        ok = False
-                        break
-                    if op_p[x] == y and op_q[u] != v:
-                        ok = False
-                        break
-            if op_p is not None and op_p[x] == x and op_q[u] != u:
-                ok = False
-            if not ok:
-                continue
-            assigned[x] = u
-            used.add(u)
-            if extend(i + 1):
-                return True
-            del assigned[x]
-            used.remove(u)
-        return False
-
-    if extend(0):
-        return dict(assigned)
-    return None
+    # with equally many pairs, an injective monotone map is an isomorphism
+    matches: dict[object, list[str]] = {}
+    for u in q.elements:
+        matches.setdefault(inv_q(u), []).append(u)
+    allowed = {x: matches[inv_p(x)] for x in p.elements}
+    return next(search_maps(p, q, allowed, op_p, op_q, injective=True), None)
 
 
 def enumerate_monotone_maps(p: Poset, q: Poset) -> Iterator[MonotoneMap]:
     """All monotone maps p -> q, deterministically, each exactly once."""
-    order = p.linear_extension()
-    assigned: dict[str, str] = {}
-
-    def extend(i: int) -> Iterator[MonotoneMap]:
-        if i == len(order):
-            yield make_monotone_map(p, q, dict(assigned))
-            return
-        x = order[i]
-        for u in q.elements:
-            if all(
-                not p.leq(y, x) or q.leq(assigned[y], u) for y in order[:i]
-            ):
-                assigned[x] = u
-                yield from extend(i + 1)
-                del assigned[x]
-
-    yield from extend(0)
+    for f in search_maps(p, q):
+        yield make_monotone_map(p, q, f)

@@ -20,13 +20,7 @@ from .involutive import (
     make_inv_morphism,
     power,
 )
-from .order import (
-    MonotoneMap,
-    Poset,
-    is_three_complete,
-    lattice_report,
-    make_monotone_map,
-)
+from .order import Poset, is_three_complete, lattice_report, search_maps
 
 VARIETIES = ("bdl", "kleene", "demorgan")
 
@@ -356,119 +350,8 @@ def oracle_retraction_search(
         raise SizeGuardError(f"oracle guard: embedding dimension {n} exceeds 4")
     ambient = power(DIAMOND, n)
     dom = kleene_part(ambient) if variety == "kleene" else ambient
-    image = _restriction_to_image(p, e)
-
-    order = dom.base.linear_extension()
-    assigned: dict[str, str] = {}
-
-    def consistent(v: str, t: str) -> bool:
-        for w, s in assigned.items():
-            if dom.base.leq(w, v) and not p.base.leq(s, t):
-                return False
-            if dom.base.leq(v, w) and not p.base.leq(t, s):
-                return False
-        return True
-
-    def extend(i: int) -> InvMorphism | None:
-        while i < len(order) and order[i] in assigned:
-            i += 1
-        if i == len(order):
-            return make_inv_morphism(dom, p, dict(assigned))
-        v = order[i]
-        vi = dom.i(v)
-        candidates = (
-            [image[v]] if v in image else list(p.elements)
-        )
-        for t in candidates:
-            if v == vi and p.i(t) != t:
-                continue
-            if not consistent(v, t):
-                continue
-            assigned[v] = t
-            if v != vi:
-                ti = p.i(t)
-                forced = image.get(vi)
-                if (forced is None or forced == ti) and consistent(vi, ti):
-                    assigned[vi] = ti
-                    found = extend(i + 1)
-                    if found is not None:
-                        return found
-                    del assigned[vi]
-            else:
-                found = extend(i + 1)
-                if found is not None:
-                    return found
-            del assigned[v]
-        return None
-
-    return extend(0)
-
-
-def cube_embedding(p: Poset) -> tuple[int, MonotoneMap]:
-    """Order-reflecting embedding of a poset into the Boolean cube 2^n,
-    one coordinate per principal downset (the bdl analog of the DIAMOND
-    embedding)."""
-    if not p.elements:
-        raise PreconditionError("cannot embed the empty poset")
-    n = len(p.elements)
-    cube = _boolean_cube(n)
-    vectors = {
-        x: "".join("0" if p.leq(x, q) else "1" for q in p.elements)
-        for x in p.elements
+    forced = {
+        v: (x,) for v, x in _restriction_to_image(p, e).items() if v in dom.base
     }
-    f = make_monotone_map(p, cube, vectors)
-    f.check()
-    for x in p.elements:
-        for y in p.elements:
-            if cube.leq(vectors[x], vectors[y]) and not p.leq(x, y):
-                raise ValidationError(f"cube embedding not order-reflecting at ({x!r}, {y!r})")
-    return n, f
-
-
-def _boolean_cube(n: int) -> Poset:
-    elems = []
-    for k in range(1 << n):
-        elems.append("".join("1" if k >> (n - 1 - i) & 1 else "0" for i in range(n)))
-    elems.sort(key=lambda s: (s.count("1"), s))
-    le = frozenset(
-        (a, b)
-        for a in elems
-        for b in elems
-        if all(ca <= cb for ca, cb in zip(a, b))
-    )
-    return Poset(tuple(elems), le)
-
-
-def oracle_poset_retraction(p: Poset, embedding: tuple[int, MonotoneMap]) -> MonotoneMap | None:
-    """Brute-force monotone retraction of the Boolean cube onto p's image."""
-    n, e = embedding
-    if n > 4:
-        raise SizeGuardError(f"oracle guard: cube dimension {n} exceeds 4")
-    cube = e.cod
-    image = {e(x): x for x in p.elements}
-    order = cube.linear_extension()
-    assigned: dict[str, str] = {}
-
-    def consistent(v: str, t: str) -> bool:
-        for w, s in assigned.items():
-            if cube.leq(w, v) and not p.leq(s, t):
-                return False
-            if cube.leq(v, w) and not p.leq(t, s):
-                return False
-        return True
-
-    def extend(i: int) -> MonotoneMap | None:
-        if i == len(order):
-            return make_monotone_map(cube, p, dict(assigned))
-        v = order[i]
-        candidates = [image[v]] if v in image else list(p.elements)
-        for t in candidates:
-            if consistent(v, t):
-                assigned[v] = t
-                found = extend(i + 1)
-                if found is not None:
-                    return found
-                del assigned[v]
-        return None
-
-    return extend(0)
+    f = next(search_maps(dom.base, p.base, forced, dom.inv, p.inv), None)
+    return None if f is None else make_inv_morphism(dom, p, f)

@@ -21,6 +21,7 @@ from .involutive import (
     enumerate_inv_morphisms,
     enumerate_invposets_upto,
     make_inv_morphism,
+    mirror_covers,
     validate_involutive,
 )
 from .order import (
@@ -31,6 +32,7 @@ from .order import (
     identity_map,
     lattice_report,
     make_monotone_map,
+    search_maps,
     validate_poset,
 )
 from .projectivity import condition_report, is_projective_dual
@@ -524,75 +526,17 @@ def more_general(u1: Unifier, u2: Unifier) -> bool:
         raise PreconditionError("unifiers live in different categories")
     if u1.cod != u2.cod:
         raise PreconditionError("unifiers target different instances")
+    fibres: dict[str, list[str]] = {}
+    for t in u1.dom.elements:
+        fibres.setdefault(u1(t), []).append(t)
+    allowed = {x: fibres.get(u2(x), ()) for x in u2.dom.elements}
     if isinstance(u1, InvMorphism):
-        dom2, dom1 = u2.dom, u1.dom
-        order = dom2.base.linear_extension()
-        assigned: dict[str, str] = {}
-
-        def consistent(x: str, t: str) -> bool:
-            for y, s in assigned.items():
-                if dom2.base.leq(y, x) and not dom1.base.leq(s, t):
-                    return False
-                if dom2.base.leq(x, y) and not dom1.base.leq(t, s):
-                    return False
-            return True
-
-        def extend(i: int) -> bool:
-            while i < len(order) and order[i] in assigned:
-                i += 1
-            if i == len(order):
-                return True
-            x = order[i]
-            xi = dom2.i(x)
-            for t in dom1.elements:
-                if u1(t) != u2(x):
-                    continue
-                if x == xi and dom1.i(t) != t:
-                    continue
-                if not consistent(x, t):
-                    continue
-                assigned[x] = t
-                if x != xi:
-                    ti = dom1.i(t)
-                    if u1(ti) == u2(xi) and consistent(xi, ti):
-                        assigned[xi] = ti
-                        if extend(i + 1):
-                            return True
-                        del assigned[xi]
-                else:
-                    if extend(i + 1):
-                        return True
-                del assigned[x]
-            return False
-
-        return extend(0)
-
-    dom2, dom1 = u2.dom, u1.dom
-    order = dom2.linear_extension()
-    assigned: dict[str, str] = {}
-
-    def consistent_m(x: str, t: str) -> bool:
-        for y, s in assigned.items():
-            if dom2.leq(y, x) and not dom1.leq(s, t):
-                return False
-            if dom2.leq(x, y) and not dom1.leq(t, s):
-                return False
-        return True
-
-    def extend_m(i: int) -> bool:
-        if i == len(order):
-            return True
-        x = order[i]
-        for t in dom1.elements:
-            if u1(t) != u2(x) or not consistent_m(x, t):
-                continue
-            assigned[x] = t
-            if extend_m(i + 1):
-                return True
-            del assigned[x]
-        return False
-
-    return extend_m(0)
+        maps = search_maps(
+            u2.dom.base, u1.dom.base, allowed, u2.dom.inv, u1.dom.inv
+        )
+    else:
+        maps = search_maps(u2.dom, u1.dom, allowed)
+    return next(maps, None) is not None
 
 
 @lru_cache(maxsize=None)
@@ -647,15 +591,6 @@ class WitnessFamily:
     @property
     def anchor_dict(self) -> dict[str, str]:
         return dict(self.anchors)
-
-
-def _mirrored(covers: list[tuple[str, str]], inv: dict[str, str]) -> list[tuple[str, str]]:
-    out = list(covers)
-    for lo, hi in covers:
-        pair = (inv[hi], inv[lo])
-        if pair not in out:
-            out.append(pair)
-    return out
 
 
 def witness_family(family: str, n: int) -> WitnessFamily:
@@ -723,7 +658,7 @@ def _witness_k1(n: int) -> WitnessFamily:
             (f"{j}.{k}", f"{j}#{k}"),
             (f"{j}#{k}", f"~{j}.{k}"),
         ]
-    structure = validate_poset(elems, _mirrored(covers, inv))
+    structure = validate_poset(elems, mirror_covers(covers, inv))
     iv = validate_involutive(structure, inv)
     anchors = {"bot": "x"}
     for j in range(1, n + 1):
@@ -769,7 +704,7 @@ def _witness_k2(n: int) -> WitnessFamily:
             (f"{k}.{j}", f"{j}.{k}o{k}.{j}"),
             (f"{j}.{k}o{k}.{j}", f"{j}.{k}#{k}.{j}"),
         ]
-    structure = validate_poset(elems, _mirrored(covers, inv))
+    structure = validate_poset(elems, mirror_covers(covers, inv))
     iv = validate_involutive(structure, inv)
     anchors = {"bot": "x"}
     for j in rng:
@@ -810,7 +745,7 @@ def _witness_m1(n: int) -> WitnessFamily:
         # below the top half; attach them so T_n stays a lattice
         if j not in paired:
             covers.append((str(j), "~bot"))
-    structure = validate_poset(elems, _mirrored(covers, inv))
+    structure = validate_poset(elems, mirror_covers(covers, inv))
     iv = validate_involutive(structure, inv)
     anchors = {"bot": "x", "0": "y"}
     for j in range(1, n + 1):

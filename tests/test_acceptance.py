@@ -43,8 +43,9 @@ from morgan_unify.gallery import (
 )
 from morgan_unify.involutive import make_inv_morphism
 from morgan_unify.order import POSET_CLASS_COUNTS
-from morgan_unify.projectivity import cube_embedding, oracle_poset_retraction
 from morgan_unify.unification import core_of
+
+from reference import cube_embedding, oracle_poset_retraction
 
 
 def report(criterion, started, budget_seconds, detail=""):

@@ -1,5 +1,6 @@
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -20,6 +21,17 @@ GOLDENS = [
     "m1_pattern.json",
     "m2_pattern.json",
 ]
+
+
+#: the retraction oracle's output per involutive golden and variety,
+#: recorded before its search was rewritten.  Left out: k1_pattern.json
+#: and k2_pattern.json, whose embeddings exceed the oracle's dimension
+#: guard, and m1_pattern.json under dm, whose search runs for minutes.
+PINNED_ORACLE = json.loads(
+    (pathlib.Path(__file__).parent / "oracle_retractions.json").read_text(
+        encoding="utf-8"
+    )
+)
 
 
 @pytest.fixture()
@@ -164,6 +176,16 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["found"] is True
 
+    @pytest.mark.parametrize("case", sorted(PINNED_ORACLE))
+    def test_oracle_retraction_pinned(self, case, data_dir, cli):
+        name, variety = case.split()
+        code, out = cli(
+            ["oracle", str(data_dir / name), "--check", "retraction",
+             "--variety", variety]
+        )
+        assert code == PINNED_ORACLE[case]["exit"]
+        assert json.loads(out) == PINNED_ORACLE[case]["stdout"]
+
     def test_oracle_unifier_count(self, data_dir, cli):
         code, out = cli(
             ["oracle", str(data_dir / "antichain2.json"), "--check", "unifiers",
@@ -187,6 +209,25 @@ class TestOtherCommands:
     def test_missing_file_exit_one(self, cli):
         code, _ = cli(["validate", "no-such-file.json"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "invposet", "elements": ["a"], "inv": {"a": ["x"]}}',
+            '{"kind": "poset", "elements": ["a", "b"], "covers": [["a", ["b"]]]}',
+            '{"kind": "algebra", "elements": ["a"], "neg": {"a": ["a"]}}',
+            None,
+        ],
+        ids=["list-in-inv", "list-in-covers", "list-in-neg", "directory"],
+    )
+    def test_malformed_input_exit_one(self, text, tmp_path, cli):
+        path = tmp_path
+        if text is not None:
+            path = tmp_path / "bad.json"
+            path.write_text(text)
+        code, out = cli(["validate", str(path)])
+        assert code == 1
+        assert "error" in json.loads(out)
 
 
 class TestPipelines:

@@ -16,8 +16,14 @@ from morgan_unify import (
     validate_involutive,
     validate_poset,
 )
-from morgan_unify.involutive import compose_inv, involutions_of, make_invposet
+from morgan_unify.involutive import (
+    compose_inv,
+    involutions_of,
+    make_inv_morphism,
+    make_invposet,
+)
 
+from reference import ordered_brute_force
 from strategies import invposets
 
 
@@ -139,15 +145,11 @@ class TestInvMorphisms:
     @given(invposets(max_size=3))
     @settings(max_examples=25)
     def test_enumeration_matches_brute_force(self, iv):
-        fast = {m.mapping for m in enumerate_inv_morphisms(iv, DIAMOND)}
-        brute = set()
-        for values in itertools.product(DIAMOND.elements, repeat=len(iv)):
-            f = dict(zip(iv.elements, values))
-            monotone = all(DIAMOND.base.leq(f[x], f[y]) for x, y in iv.base.le)
-            commutes = all(f[iv.i(x)] == DIAMOND.i(f[x]) for x in iv.elements)
-            if monotone and commutes:
-                brute.add(tuple((x, f[x]) for x in iv.elements))
-        assert fast == brute
+        fast = [m.mapping for m in enumerate_inv_morphisms(iv, DIAMOND)]
+        brute = ordered_brute_force(
+            iv.base, DIAMOND.base, lambda f: make_inv_morphism(iv, DIAMOND, f)
+        )
+        assert fast == [m.mapping for m in brute]
 
 
 class TestInvPosetEnumeration:

@@ -1,10 +1,12 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
 
 from morgan_unify import (
     ValidationError,
+    enumerate_invposets_upto,
     enumerate_monotone_maps,
     enumerate_posets_upto,
     find_isomorphism,
@@ -15,8 +17,9 @@ from morgan_unify import (
     subposet,
     validate_poset,
 )
-from morgan_unify.order import POSET_CLASS_COUNTS, Poset
+from morgan_unify.order import POSET_CLASS_COUNTS, Poset, make_monotone_map
 
+from reference import ordered_brute_force
 from strategies import posets
 
 
@@ -166,14 +169,20 @@ class TestEnumeration:
             assert find_isomorphism(p, q) is None
 
 
-def brute_isomorphism(p: Poset, q: Poset):
+def brute_isomorphism(p: Poset, q: Poset, op_p=None, op_q=None):
+    """First isomorphism in the search's order, by exhaustive listing."""
     if len(p.elements) != len(q.elements):
         return None
-    for perm in itertools.permutations(q.elements):
-        f = dict(zip(p.elements, perm))
-        if all((p.leq(x, y)) == (q.leq(f[x], f[y])) for x in p.elements for y in p.elements):
-            return f
-    return None
+
+    def is_iso(f):
+        return all(
+            p.leq(x, y) == q.leq(f(x), f(y)) for x in p.elements for y in p.elements
+        ) and (op_p is None or all(f(op_p[x]) == op_q[f(x)] for x in p.elements))
+
+    found = ordered_brute_force(
+        p, q, lambda f: make_monotone_map(p, q, f), keep=is_iso
+    )
+    return found[0].as_dict if found else None
 
 
 class TestSublatticeCompleteness:
@@ -215,10 +224,37 @@ class TestIsomorphism:
     def test_agrees_with_brute_force_small(self):
         reps = list(enumerate_posets_upto(4))
         for p in reps:
+            # relisting the elements changes the first isomorphism found
+            relisted = Poset(tuple(reversed(p.elements)), p.le)
             for q in reps:
-                fast = find_isomorphism(p, q)
-                brute = brute_isomorphism(p, q)
-                assert (fast is None) == (brute is None)
+                assert find_isomorphism(p, q) == brute_isomorphism(p, q)
+                assert find_isomorphism(relisted, q) == brute_isomorphism(relisted, q)
+
+    def test_involutive_agrees_with_brute_force_small(self):
+        reps = list(enumerate_invposets_upto(4))
+        for iv in reps:
+            relisted = Poset(tuple(reversed(iv.elements)), iv.base.le)
+            for r in reps:
+                for base in (iv.base, relisted):
+                    assert find_isomorphism(
+                        base, r.base, op_p=iv.inv, op_q=r.inv
+                    ) == brute_isomorphism(base, r.base, iv.inv, r.inv)
+
+    def test_deep_chain_within_small_recursion_limit(self):
+        # built directly: validating a 300-chain costs seconds
+        names = tuple(f"c{i:03d}" for i in range(300))
+        chain = Poset(
+            names, frozenset((a, b) for i, a in enumerate(names) for b in names[i:])
+        )
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            iso = find_isomorphism(chain, chain)
+            first = next(enumerate_monotone_maps(chain, chain))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert iso == {x: x for x in names}
+        assert set(first.as_dict.values()) == {names[0]}
 
     @given(posets(max_size=5))
     def test_reflexive(self, p):
@@ -245,15 +281,9 @@ class TestMonotoneMaps:
     @given(posets(max_size=3), posets(max_size=3))
     @settings(max_examples=30)
     def test_matches_brute_force(self, p, q):
-        fast = {m.mapping for m in enumerate_monotone_maps(p, q)}
-        brute = set()
-        for values in itertools.product(q.elements, repeat=len(p.elements)):
-            f = dict(zip(p.elements, values))
-            if all(q.leq(f[x], f[y]) for x, y in p.le):
-                brute.add(tuple((x, f[x]) for x in p.elements))
-        if not p.elements:
-            brute = {()}
-        assert fast == brute
+        fast = [m.mapping for m in enumerate_monotone_maps(p, q)]
+        brute = ordered_brute_force(p, q, lambda f: make_monotone_map(p, q, f))
+        assert fast == [m.mapping for m in brute]
 
 
 class TestDualityOfOrder:

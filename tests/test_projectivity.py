@@ -18,12 +18,9 @@ from morgan_unify import (
     validate_poset,
 )
 from morgan_unify.involutive import make_inv_morphism
-from morgan_unify.projectivity import (
-    cube_embedding,
-    m3_fast_path,
-    oracle_poset_retraction,
-)
+from morgan_unify.projectivity import m3_fast_path
 
+from reference import cube_embedding, oracle_poset_retraction
 from strategies import invposets
 
 

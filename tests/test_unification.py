@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,6 +9,8 @@ from morgan_unify import (
     SizeGuardError,
     classify,
     demorgan_core,
+    enumerate_invposets_upto,
+    enumerate_posets_upto,
     enumerate_unifiers_bounded,
     find_null_pattern,
     is_projective_dual,
@@ -20,8 +24,10 @@ from morgan_unify import (
     verify_null_pattern,
 )
 from morgan_unify.involutive import make_inv_morphism
+from morgan_unify.order import make_monotone_map
 from morgan_unify.unification import core_of
 
+from reference import ordered_brute_force
 from strategies import invposets
 
 
@@ -257,6 +263,34 @@ class TestMoreGeneral:
         assert more_general(first, u)
         assert not more_general(u, first)
         assert not more_general(second, u)
+
+    def test_agrees_with_brute_force_small(self):
+        # unifiers with at most 3-point domains into every instance of at
+        # most 3 points; u1 is as general as u2 when some h with u1 h = u2
+        # turns up in the exhaustive listing
+        cases = [(q, "bdl") for q in enumerate_posets_upto(3) if q.elements]
+        for q in enumerate_invposets_upto(3):
+            if q.elements:
+                cases.append((q, "demorgan"))
+                if q.is_kleene:
+                    cases.append((q, "kleene"))
+        for q, variety in cases:
+            unifiers = list(enumerate_unifiers_bounded(q, variety, 3))
+            for u1 in unifiers:
+                for u2 in unifiers:
+                    if variety == "bdl":
+                        dom2, dom1 = u2.dom, u1.dom
+                        build = partial(make_monotone_map, dom2, dom1)
+                    else:
+                        dom2, dom1 = u2.dom.base, u1.dom.base
+                        build = partial(make_inv_morphism, u2.dom, u1.dom)
+                    factors = ordered_brute_force(
+                        dom2,
+                        dom1,
+                        build,
+                        keep=lambda h: all(u1(h(x)) == u2(x) for x in dom2.elements),
+                    )
+                    assert more_general(u1, u2) == bool(factors)
 
     def test_codomain_mismatch(self, crown, diamond):
         u = validate_monotone_map(validate_poset(["p"], []), crown, {"p": "x"})

@@ -38,10 +38,7 @@ from .order import (
     enumerate_posets_upto,
     find_isomorphism,
     is_three_complete,
-    join_of,
     lattice_report,
-    meet_of,
-    subposet,
     validate_monotone_map,
     validate_poset,
 )

@@ -27,6 +27,7 @@ from .unification import (
     MostGeneral,
     MuSet,
     NullPattern,
+    PATTERNS,
     classify,
     core_of,
     enumerate_unifiers_bounded,
@@ -43,14 +44,7 @@ FREE_CAP = 3
 
 VARIETY_ALIASES = {"bdl": "bdl", "kleene": "kleene", "dm": "demorgan"}
 
-ANCHOR_ORDER = {
-    "bdl": ("x", "a", "b", "c", "d", "y"),
-    "k1": ("x", "a", "b", "c", "d", "y", "z"),
-    "k2": ("x", "a", "b", "c", "d", "e", "f", "y", "z", "w"),
-    "m1": ("x", "a", "b", "c", "d", "y"),
-    "m2": ("x", "a", "b"),
-    "m3": ("x", "a", "b", "c", "d", "e", "f", "y", "z", "w"),
-}
+ANCHOR_ORDER = {family: tuple(p.anchors) for family, p in PATTERNS.items()}
 
 
 def _read_structure(path: str):

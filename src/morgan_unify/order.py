@@ -286,50 +286,6 @@ def validate_poset(
     return Poset(elems, le)
 
 
-def subposet(p: Poset, selector: tuple) -> tuple[Poset, frozenset[str]]:
-    """Induced subposet by selector.
-
-    Selectors: ("explicit", xs), ("down", xs), ("up", xs),
-    ("interval", x, y), ("minimals",), ("maximals",).
-    """
-    kind = selector[0]
-    if kind == "explicit":
-        chosen = frozenset(selector[1])
-        for x in chosen:
-            if x not in p:
-                raise ValidationError(f"unknown element {x!r}", witness=x)
-    elif kind == "down":
-        chosen = p.down_of(_known(p, selector[1]))
-    elif kind == "up":
-        chosen = p.up_of(_known(p, selector[1]))
-    elif kind == "interval":
-        x, y = _known(p, (selector[1], selector[2]))
-        chosen = p.interval(x, y)
-    elif kind == "minimals":
-        chosen = frozenset(p.minimals())
-    elif kind == "maximals":
-        chosen = frozenset(p.maximals())
-    else:
-        raise ValidationError(f"unknown selector {kind!r}")
-    return p.restrict(chosen), frozenset(chosen)
-
-
-def _known(p: Poset, xs: Iterable[str]) -> tuple[str, ...]:
-    out = tuple(xs)
-    for x in out:
-        if x not in p:
-            raise ValidationError(f"unknown element {x!r}", witness=x)
-    return out
-
-
-def join_of(p: Poset, xs: Iterable[str]) -> str | None:
-    return p.join(_known(p, xs))
-
-
-def meet_of(p: Poset, xs: Iterable[str]) -> str | None:
-    return p.meet(_known(p, xs))
-
-
 @dataclass(frozen=True)
 class LatticeReport:
     is_nonempty_lattice: bool

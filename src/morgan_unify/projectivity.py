@@ -210,28 +210,27 @@ def canonical_embedding(
                 f"embedding ambient D^{dim} too large; prune or shrink the input"
             )
 
-    def contract_ok(cols: list[dict[str, str]]) -> bool:
-        vecs = {x: "".join(c[x] for c in cols) for x in p.elements}
-        if len(set(vecs.values())) != len(p.elements):
-            return False
-        for x in p.elements:
-            for y in p.elements:
-                if not p.base.leq(x, y):
-                    if all(
-                        DIAMOND.base.leq(c[x], c[y]) for c in cols
-                    ):
-                        return False
-        return True
-
     if prune:
-        kept = list(columns)
-        i = len(kept) - 1
-        while i >= 0 and len(kept) > 1:
-            trial = kept[:i] + kept[i + 1 :]
-            if contract_ok(trial):
+        # every pair x !<= y needs a column that separates it; injectivity
+        # then follows by antisymmetry
+        separating = [
+            sum(
+                1 << k
+                for k, c in enumerate(columns)
+                if not DIAMOND.base.leq(c[x], c[y])
+            )
+            for x in p.elements
+            for y in p.elements
+            if not p.base.leq(x, y)
+        ]
+        kept = (1 << len(columns)) - 1
+        for k in reversed(range(len(columns))):
+            if kept.bit_count() == 1:
+                break
+            trial = kept & ~(1 << k)
+            if all(s & trial for s in separating):
                 kept = trial
-            i -= 1
-        columns = kept
+        columns = [c for k, c in enumerate(columns) if kept >> k & 1]
 
     n = len(columns)
     guard(n)

@@ -2,15 +2,15 @@
 
 Solvability tests, the Kleene and De Morgan unification cores, the
 three classification theorems with machine-checkable certificates,
-nullarity-pattern search, the witness families T_n with their unifier
-schemas, the generality preorder, and a bounded unifier enumerator used
-as the audit oracle.
+the nullarity pattern table with its search and verifier, the witness
+families T_n with their unifier schemas, the generality preorder, and a
+bounded unifier enumerator used as the audit oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as cartesian
 from typing import Iterator, Union
 
@@ -40,8 +40,6 @@ from .projectivity import condition_report, is_projective_dual
 UNITARY = "unitary"
 FINITARY = "finitary"
 NULLARY = "nullary"
-
-PATTERN_FAMILIES = ("bdl", "k1", "k2", "m1", "m2", "m3")
 
 Unifier = Union[MonotoneMap, InvMorphism]
 
@@ -306,214 +304,139 @@ def mu_set(q, variety: str) -> list[Unifier]:
 # ---------------------------------------------------------------------------
 # nullarity patterns
 
+ANY = "any"
+FIXED = "fixed"
+SELF_BELOW = "self_below"
 
-def _pattern_env(struct) -> tuple[Poset, dict[str, str] | None]:
+
+@dataclass(frozen=True)
+class Pattern:
+    """A forbidden configuration: a map from a fixed shape into the dual.
+
+    `anchors` are the one-letter anchor names in certificate order, and
+    each cover "lh" in `covers` asks for l <= h.  The first `core`
+    anchors are searched; every later anchor takes the first point, in
+    element order, of its kind above its lower covers.  `kinds` holds
+    each anchor's kind (ANY when absent).  The clause is negative: no
+    point of kind `clause[0]` lies above every anchor in `clause[1]` and
+    below every anchor in `clause[2]`.
+    """
+
+    anchors: str
+    covers: str
+    core: int
+    kinds: dict[str, str]
+    clause: tuple[str, str, str]
+
+    @cached_property
+    def shape(self) -> Poset:
+        """The searched anchors with their covers.  They are listed along
+        the shape's linear extension, so `search_maps` yields matches in
+        certificate order."""
+        core = self.anchors[: self.core]
+        return validate_poset(core, [c for c in self.covers.split() if c[1] in core])
+
+
+_CROWN = "xa xb ac ad bc bd"
+_TRIPLE = "xa xb xc ad bd ae ce bf cf dy ez fw"
+_NOBODY_BETWEEN = (ANY, "ab", "cd")
+
+#: the six nullarity families; k2 and m3 share the triple
+PATTERNS = {
+    "bdl": Pattern("xabcdy", _CROWN + " cy dy", 5, {}, _NOBODY_BETWEEN),
+    "k1": Pattern("xabcdyz", _CROWN + " cy dz", 5, {"y": FIXED, "z": FIXED}, _NOBODY_BETWEEN),
+    "k2": Pattern("xabcdefyzw", _TRIPLE, 4, dict.fromkeys("yzw", FIXED), (SELF_BELOW, "abc", "")),
+    "m1": Pattern("xabcdy", _CROWN + " xy", 5, {"y": FIXED}, _NOBODY_BETWEEN),
+    "m2": Pattern("xab", "xa xb", 2, {"a": SELF_BELOW, "b": FIXED}, (FIXED, "a", "")),
+}
+PATTERNS["m3"] = PATTERNS["k2"]
+
+
+def _pattern_env(struct, family: str) -> tuple[Pattern, Poset, dict[str, int]]:
+    """The family's pattern, the base poset and a bitmask of each kind."""
+    if family not in PATTERNS:
+        raise PreconditionError(f"unknown pattern family {family!r}")
+    base = struct.base if isinstance(struct, InvPoset) else struct
+    kinds = {ANY: (1 << len(base.elements)) - 1}
     if isinstance(struct, InvPoset):
-        return struct.base, struct.inv
-    return struct, None
+        up = base._masks[1]
+        mate = [base.index[struct.i(x)] for x in base.elements]
+        kinds[FIXED] = sum(1 << i for i, j in enumerate(mate) if i == j)
+        kinds[SELF_BELOW] = sum(1 << i for i, j in enumerate(mate) if up[i] >> j & 1)
+    elif family != "bdl":
+        raise PreconditionError(f"family {family!r} needs an involutive poset")
+    return PATTERNS[family], base, kinds
+
+
+def _clause_holds(pat: Pattern, base: Poset, kinds: dict[str, int], at: dict[str, int]) -> bool:
+    down, up = base._masks
+    kind, lows, highs = pat.clause
+    between = kinds[kind]
+    for t in lows:
+        between &= up[at[t]]
+    for t in highs:
+        between &= down[at[t]]
+    return not between
+
+
+def _bits(m: int) -> Iterator[int]:
+    while m:
+        low = m & -m
+        m ^= low
+        yield low.bit_length() - 1
 
 
 def find_null_pattern(struct, family: str) -> dict[str, str] | None:
-    """First anchor tuple, in canonical order, satisfying the family's
+    """First anchor tuple, in certificate order, satisfying the family's
     clauses; None when the exhaustive search comes up empty."""
-    if family not in PATTERN_FAMILIES:
-        raise PreconditionError(f"unknown pattern family {family!r}")
-    base, inv = _pattern_env(struct)
-    if family != "bdl" and inv is None:
-        raise PreconditionError(f"family {family!r} needs an involutive poset")
-    finder = {
-        "bdl": _find_bdl_pattern,
-        "k1": _find_k1_pattern,
-        "k2": _find_k2_pattern,
-        "m1": _find_m1_pattern,
-        "m2": _find_m2_pattern,
-        "m3": _find_k2_pattern,
-    }[family]
-    return finder(base, inv)
+    pat, base, kinds = _pattern_env(struct, family)
+    down, up = base._masks
+    names = base.elements
+    # a point is allowed for an anchor when it has the anchor's kind and
+    # every upper cover of the anchor has an allowed point above it
+    allowed: dict[str, int] = {}
+    for t in reversed(pat.anchors):
+        m = kinds[pat.kinds.get(t, ANY)]
+        for lo, hi in pat.covers.split():
+            if lo == t:
+                room = 0
+                for j in _bits(allowed[hi]):
+                    room |= down[j]
+                m &= room
+        allowed[t] = m
+    options = {t: [names[i] for i in _bits(allowed[t])] for t in pat.shape.elements}
+    tops = [
+        (t, [lo for lo, hi in pat.covers.split() if hi == t])
+        for t in pat.anchors[pat.core :]
+    ]
+    for match in search_maps(pat.shape, base, options):
+        at = {t: base.index[v] for t, v in match.items()}
+        if not _clause_holds(pat, base, kinds, at):
+            continue
+        for t, lows in tops:
+            m = allowed[t]
+            for lo in lows:
+                m &= up[at[lo]]
+            if not m:
+                break
+            at[t] = (m & -m).bit_length() - 1
+        else:
+            return {t: names[at[t]] for t in pat.anchors}
+    return None
 
 
 def verify_null_pattern(struct, family: str, anchors: dict[str, str]) -> bool:
-    """Re-check every clause of the family on the given anchors, with the
-    nonexistence clause verified by exhaustive scan."""
-    base, inv = _pattern_env(struct)
-    g = anchors.__getitem__
-    le = base.leq
-    if family == "bdl":
-        return (
-            all(le(g("x"), v) for v in (g("a"), g("b")))
-            and all(le(u, v) for u in (g("a"), g("b")) for v in (g("c"), g("d")))
-            and all(le(v, g("y")) for v in (g("c"), g("d")))
-            and _nobody_between(base, g("a"), g("b"), g("c"), g("d"))
-        )
-    assert inv is not None
-    if family == "k1":
-        return (
-            all(le(g("x"), v) for v in (g("a"), g("b")))
-            and all(le(u, v) for u in (g("a"), g("b")) for v in (g("c"), g("d")))
-            and le(g("c"), g("y")) and inv[g("y")] == g("y")
-            and le(g("d"), g("z")) and inv[g("z")] == g("z")
-            and _nobody_between(base, g("a"), g("b"), g("c"), g("d"))
-        )
-    if family in ("k2", "m3"):
-        return (
-            all(le(g("x"), v) for v in (g("a"), g("b"), g("c")))
-            and le(g("a"), g("d")) and le(g("a"), g("e"))
-            and le(g("b"), g("d")) and le(g("b"), g("f"))
-            and le(g("c"), g("e")) and le(g("c"), g("f"))
-            and le(g("d"), g("y")) and inv[g("y")] == g("y")
-            and le(g("e"), g("z")) and inv[g("z")] == g("z")
-            and le(g("f"), g("w")) and inv[g("w")] == g("w")
-            and not any(
-                le(g("a"), h) and le(g("b"), h) and le(g("c"), h) and le(h, inv[h])
-                for h in base.elements
-            )
-        )
-    if family == "m1":
-        return (
-            all(le(g("x"), v) for v in (g("a"), g("b")))
-            and all(le(u, v) for u in (g("a"), g("b")) for v in (g("c"), g("d")))
-            and le(g("x"), g("y")) and inv[g("y")] == g("y")
-            and _nobody_between(base, g("a"), g("b"), g("c"), g("d"))
-        )
-    if family == "m2":
-        return (
-            le(g("x"), g("a")) and le(g("x"), g("b"))
-            and le(g("a"), inv[g("a")])
-            and inv[g("b")] == g("b")
-            and not any(le(g("a"), c) and inv[c] == c for c in base.elements)
-        )
-    raise PreconditionError(f"unknown pattern family {family!r}")
-
-
-def _nobody_between(base: Poset, a: str, b: str, c: str, d: str) -> bool:
-    mids = base.up_of([a]) & base.up_of([b]) & base.down_of([c]) & base.down_of([d])
-    return not mids
-
-
-def _find_bdl_pattern(base: Poset, inv) -> dict[str, str] | None:
-    for x in base.elements:
-        ux = base._up[x]
-        for a in base.elements:
-            if a not in ux:
-                continue
-            for b in base.elements:
-                if b not in ux:
-                    continue
-                over = base._up[a] & base._up[b]
-                for c in base.elements:
-                    if c not in over:
-                        continue
-                    for d in base.elements:
-                        if d not in over:
-                            continue
-                        if not _nobody_between(base, a, b, c, d):
-                            continue
-                        for y in base.elements:
-                            if base.leq(c, y) and base.leq(d, y):
-                                return {"x": x, "a": a, "b": b, "c": c, "d": d, "y": y}
-    return None
-
-
-def _find_k1_pattern(base: Poset, inv) -> dict[str, str] | None:
-    fixed_above = {
-        v: [z for z in base._up[v] if inv[z] == z] for v in base.elements
-    }
-    for x in base.elements:
-        ux = base._up[x]
-        for a in base.elements:
-            if a not in ux:
-                continue
-            for b in base.elements:
-                if b not in ux:
-                    continue
-                over = base._up[a] & base._up[b]
-                for c in base.elements:
-                    if c not in over or not fixed_above[c]:
-                        continue
-                    for d in base.elements:
-                        if d not in over or not fixed_above[d]:
-                            continue
-                        if not _nobody_between(base, a, b, c, d):
-                            continue
-                        return {
-                            "x": x, "a": a, "b": b, "c": c, "d": d,
-                            "y": fixed_above[c][0], "z": fixed_above[d][0],
-                        }
-    return None
-
-
-def _find_k2_pattern(base: Poset, inv) -> dict[str, str] | None:
-    fixed_above = {
-        v: [z for z in base._up[v] if inv[z] == z] for v in base.elements
-    }
-    self_below = [h for h in base.elements if base.leq(h, inv[h])]
-    for x in base.elements:
-        ux = base._up[x]
-        for a, b, c in cartesian(base.elements, repeat=3):
-            if a not in ux or b not in ux or c not in ux:
-                continue
-            common = base._up[a] & base._up[b] & base._up[c]
-            if any(h in common for h in self_below):
-                continue
-            for d in base.elements:
-                if d not in base._up[a] or d not in base._up[b] or not fixed_above[d]:
-                    continue
-                for e in base.elements:
-                    if e not in base._up[a] or e not in base._up[c] or not fixed_above[e]:
-                        continue
-                    for f in base.elements:
-                        if f not in base._up[b] or f not in base._up[c] or not fixed_above[f]:
-                            continue
-                        return {
-                            "x": x, "a": a, "b": b, "c": c,
-                            "d": d, "e": e, "f": f,
-                            "y": fixed_above[d][0],
-                            "z": fixed_above[e][0],
-                            "w": fixed_above[f][0],
-                        }
-    return None
-
-
-def _find_m1_pattern(base: Poset, inv) -> dict[str, str] | None:
-    fixed = [z for z in base.elements if inv[z] == z]
-    for x in base.elements:
-        ys = [y for y in fixed if base.leq(x, y)]
-        if not ys:
-            continue
-        ux = base._up[x]
-        for a in base.elements:
-            if a not in ux:
-                continue
-            for b in base.elements:
-                if b not in ux:
-                    continue
-                over = base._up[a] & base._up[b]
-                for c in base.elements:
-                    if c not in over:
-                        continue
-                    for d in base.elements:
-                        if d not in over:
-                            continue
-                        if _nobody_between(base, a, b, c, d):
-                            return {
-                                "x": x, "a": a, "b": b, "c": c, "d": d, "y": ys[0]
-                            }
-    return None
-
-
-def _find_m2_pattern(base: Poset, inv) -> dict[str, str] | None:
-    fixed = [z for z in base.elements if inv[z] == z]
-    for x in base.elements:
-        bs = [b for b in fixed if base.leq(x, b)]
-        if not bs:
-            continue
-        for a in base.elements:
-            if not base.leq(x, a) or not base.leq(a, inv[a]):
-                continue
-            if any(base.leq(a, c) for c in fixed):
-                continue
-            return {"x": x, "a": a, "b": bs[0]}
-    return None
+    """Re-check the family's covers, anchor kinds and negative clause on
+    the given anchors."""
+    pat, base, kinds = _pattern_env(struct, family)
+    if not all(anchors[t] in base for t in pat.anchors):
+        return False
+    at = {t: base.index[anchors[t]] for t in pat.anchors}
+    return (
+        all(base.leq(anchors[lo], anchors[hi]) for lo, hi in pat.covers.split())
+        and all(kinds[k] >> at[t] & 1 for t, k in pat.kinds.items())
+        and _clause_holds(pat, base, kinds, at)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,17 @@
 `ordered_brute_force` is the exhaustive oracle for every map search in
 the library: it lists all maps in the order the library's search yields
 them.  The Boolean-cube embedding and its retraction oracle serve the
-bdl half of the projectivity agreement check.
+bdl half of the projectivity agreement check.  `greedy_pruned_vectors`
+is the plain form of the embedding's column pruning, and the null-pattern
+finder and verifier state each nullarity family clause by clause.
 """
 
 import itertools
 
 from morgan_unify import PreconditionError, SizeGuardError, ValidationError
+from morgan_unify.involutive import DIAMOND, InvPoset
 from morgan_unify.order import MonotoneMap, Poset, make_monotone_map, search_maps
+from morgan_unify.projectivity import _coordinate
 
 
 def ordered_brute_force(dom: Poset, cod: Poset, build, keep=None) -> list:
@@ -76,3 +80,129 @@ def oracle_poset_retraction(p: Poset, embedding: tuple[int, MonotoneMap]) -> Mon
     forced = {e(x): (x,) for x in p.elements}
     f = next(search_maps(cube, p, forced), None)
     return None if f is None else make_monotone_map(cube, p, f)
+
+
+def greedy_pruned_vectors(p: InvPoset) -> dict[str, str]:
+    """The pruned DIAMOND vectors of `canonical_embedding(p, prune=True)`,
+    found by rebuilding every vector and rechecking every pair for each
+    column trial."""
+    columns = []
+    for q in p.elements:
+        down = p.base.down_of([q])
+        columns.append({x: _coordinate(p, down, x) for x in p.elements})
+
+    def contract_ok(cols):
+        vecs = {x: "".join(c[x] for c in cols) for x in p.elements}
+        if len(set(vecs.values())) != len(p.elements):
+            return False
+        for x in p.elements:
+            for y in p.elements:
+                if not p.base.leq(x, y):
+                    if all(DIAMOND.base.leq(c[x], c[y]) for c in cols):
+                        return False
+        return True
+
+    kept = list(columns)
+    i = len(kept) - 1
+    while i >= 0 and len(kept) > 1:
+        trial = kept[:i] + kept[i + 1 :]
+        if contract_ok(trial):
+            kept = trial
+        i -= 1
+    return {x: "".join(c[x] for c in kept) for x in p.elements}
+
+
+#: each nullarity family's anchors in certificate order and its cover
+#: pairs, stated independently of the library's pattern table
+NULL_PATTERN_SHAPES = {
+    "bdl": ("xabcdy", "xa xb ac ad bc bd cy dy"),
+    "k1": ("xabcdyz", "xa xb ac ad bc bd cy dz"),
+    "k2": ("xabcdefyzw", "xa xb xc ad ae bd bf ce cf dy ez fw"),
+    "m1": ("xabcdy", "xa xb ac ad bc bd xy"),
+    "m2": ("xab", "xa xb"),
+}
+NULL_PATTERN_SHAPES["m3"] = NULL_PATTERN_SHAPES["k2"]
+
+
+def reference_find_null_pattern(struct, family: str) -> dict[str, str] | None:
+    """First anchor tuple, in lexicographic order of its values along the
+    certificate order, that `reference_verify_null_pattern` accepts.
+    Tuples are pruned only by the covers."""
+    base = struct.base if isinstance(struct, InvPoset) else struct
+    order, covers = NULL_PATTERN_SHAPES[family]
+    lowers = [[order.index(lo) for lo, hi in covers.split() if hi == t] for t in order]
+
+    def extend(values: list[str]) -> dict[str, str] | None:
+        k = len(values)
+        if k == len(order):
+            anchors = dict(zip(order, values))
+            return anchors if reference_verify_null_pattern(struct, family, anchors) else None
+        for v in base.elements:
+            if all(base.leq(values[j], v) for j in lowers[k]):
+                found = extend(values + [v])
+                if found is not None:
+                    return found
+        return None
+
+    return extend([])
+
+
+def reference_verify_null_pattern(struct, family: str, anchors: dict[str, str]) -> bool:
+    """Every clause of the family, written out family by family, with the
+    nonexistence clause checked by a scan over all points."""
+    if isinstance(struct, InvPoset):
+        base, inv = struct.base, struct.inv
+    else:
+        base, inv = struct, None
+    g = anchors.__getitem__
+    le = base.leq
+    if family == "bdl":
+        return (
+            all(le(g("x"), v) for v in (g("a"), g("b")))
+            and all(le(u, v) for u in (g("a"), g("b")) for v in (g("c"), g("d")))
+            and all(le(v, g("y")) for v in (g("c"), g("d")))
+            and _nobody_between(base, g("a"), g("b"), g("c"), g("d"))
+        )
+    assert inv is not None
+    if family == "k1":
+        return (
+            all(le(g("x"), v) for v in (g("a"), g("b")))
+            and all(le(u, v) for u in (g("a"), g("b")) for v in (g("c"), g("d")))
+            and le(g("c"), g("y")) and inv[g("y")] == g("y")
+            and le(g("d"), g("z")) and inv[g("z")] == g("z")
+            and _nobody_between(base, g("a"), g("b"), g("c"), g("d"))
+        )
+    if family in ("k2", "m3"):
+        return (
+            all(le(g("x"), v) for v in (g("a"), g("b"), g("c")))
+            and le(g("a"), g("d")) and le(g("a"), g("e"))
+            and le(g("b"), g("d")) and le(g("b"), g("f"))
+            and le(g("c"), g("e")) and le(g("c"), g("f"))
+            and le(g("d"), g("y")) and inv[g("y")] == g("y")
+            and le(g("e"), g("z")) and inv[g("z")] == g("z")
+            and le(g("f"), g("w")) and inv[g("w")] == g("w")
+            and not any(
+                le(g("a"), h) and le(g("b"), h) and le(g("c"), h) and le(h, inv[h])
+                for h in base.elements
+            )
+        )
+    if family == "m1":
+        return (
+            all(le(g("x"), v) for v in (g("a"), g("b")))
+            and all(le(u, v) for u in (g("a"), g("b")) for v in (g("c"), g("d")))
+            and le(g("x"), g("y")) and inv[g("y")] == g("y")
+            and _nobody_between(base, g("a"), g("b"), g("c"), g("d"))
+        )
+    if family == "m2":
+        return (
+            le(g("x"), g("a")) and le(g("x"), g("b"))
+            and le(g("a"), inv[g("a")])
+            and inv[g("b")] == g("b")
+            and not any(le(g("a"), c) and inv[c] == c for c in base.elements)
+        )
+    raise PreconditionError(f"unknown pattern family {family!r}")
+
+
+def _nobody_between(base: Poset, a: str, b: str, c: str, d: str) -> bool:
+    mids = base.up_of([a]) & base.up_of([b]) & base.down_of([c]) & base.down_of([d])
+    return not mids

@@ -1,13 +1,16 @@
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from morgan_unify import validate_involutive, validate_poset
 from morgan_unify.cli import run_cli
 from morgan_unify.documents import dumps, loads, structure_document
+from morgan_unify.involutive import mirror_covers
 
 GOLDENS = [
     "diamond.json",
@@ -251,3 +254,32 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "invposet"
+
+
+def test_pattern_certificate_independent_of_hash_seed(tmp_path):
+    # the k1 instance with a second fixed point u above c: the certificate
+    # names y, the first such point in element order, under every seed
+    lower = [
+        ("x", "a"), ("x", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
+        ("c", "y"), ("c", "u"), ("d", "z"),
+    ]
+    inv = {v: v for v in "yuz"}
+    for v in "xabcd":
+        inv[v], inv["~" + v] = "~" + v, v
+    elements = ["x", "a", "b", "c", "d", "y", "u", "z", "~d", "~c", "~b", "~a", "~x"]
+    q = validate_involutive(validate_poset(elements, mirror_covers(lower, inv)), inv)
+    path = tmp_path / "k1_two_fixed.json"
+    path.write_text(dumps(structure_document(q)), encoding="utf-8")
+    outputs = set()
+    for seed in range(6):
+        proc = subprocess.run(
+            [sys.executable, "-m", "morgan_unify.cli", "classify", str(path), "--variety", "kleene"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        )
+        assert proc.returncode == 0
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    cert = json.loads(outputs.pop())["certificate"]
+    assert cert == {"family": "k1", "tuple": ["x", "a", "b", "c", "d", "y", "z"]}

@@ -11,10 +11,7 @@ from morgan_unify import (
     enumerate_posets_upto,
     find_isomorphism,
     is_three_complete,
-    join_of,
     lattice_report,
-    meet_of,
-    subposet,
     validate_poset,
 )
 from morgan_unify.order import POSET_CLASS_COUNTS, Poset, make_monotone_map
@@ -64,40 +61,39 @@ class TestValidate:
 
 class TestSubposet:
     def test_downset_of_zero(self):
-        _, chosen = subposet(d_poset(), ("down", ["0"]))
-        assert chosen == {"2", "0"}
+        assert d_poset().down_of(["0"]) == {"2", "0"}
 
     def test_interval_two_three(self):
-        _, chosen = subposet(d_poset(), ("interval", "2", "3"))
-        assert chosen == {"2", "0", "1", "3"}
+        p = d_poset()
+        assert p.interval("2", "3") == {"2", "0", "1", "3"}
+        assert p.restrict(p.interval("2", "0")).elements == ("2", "0")
 
     def test_minimals(self):
-        _, chosen = subposet(d_poset(), ("minimals",))
-        assert chosen == {"2"}
+        assert d_poset().minimals() == ("2",)
 
     def test_unknown_element(self):
         with pytest.raises(ValidationError, match="unknown"):
-            subposet(d_poset(), ("down", ["nope"]))
+            d_poset().restrict(["nope"])
 
 
 class TestBounds:
     def test_join_in_diamond(self):
-        assert join_of(d_poset(), ["0", "1"]) == "3"
-        assert meet_of(d_poset(), ["0", "1"]) == "2"
+        assert d_poset().join(["0", "1"]) == "3"
+        assert d_poset().meet(["0", "1"]) == "2"
 
     def test_antichain_join_absent(self):
         p = validate_poset(["a", "b"], [])
-        assert join_of(p, ["a", "b"]) is None
+        assert p.join(["a", "b"]) is None
 
     def test_crown_pair_join_absent(self, crown):
-        assert join_of(crown, ["a", "b"]) is None
+        assert crown.join(["a", "b"]) is None
 
     def test_join_of_singleton(self):
-        assert join_of(d_poset(), ["0"]) == "0"
+        assert d_poset().join(["0"]) == "0"
 
     def test_join_of_empty_is_bottom(self):
-        assert join_of(d_poset(), []) == "2"
-        assert join_of(validate_poset(["a", "b"], []), []) is None
+        assert d_poset().join([]) == "2"
+        assert validate_poset(["a", "b"], []).join([]) is None
 
 
 class TestLatticeReport:

@@ -20,7 +20,7 @@ from morgan_unify import (
 from morgan_unify.involutive import make_inv_morphism
 from morgan_unify.projectivity import m3_fast_path
 
-from reference import cube_embedding, oracle_poset_retraction
+from reference import cube_embedding, greedy_pruned_vectors, oracle_poset_retraction
 from strategies import invposets
 
 
@@ -86,6 +86,13 @@ class TestCanonicalEmbedding:
         n, e = canonical_embedding(antichain_swap, prune=True)
         assert n == 2
         assert e.as_dict == {"a": "23", "b": "32"}
+
+    def test_pruning_matches_greedy_reference(self):
+        for iv in enumerate_invposets_upto(4):
+            if iv.elements:
+                n, e = canonical_embedding(iv, prune=True)
+                assert e.as_dict == greedy_pruned_vectors(iv)
+                assert n == len(e(iv.elements[0]))
 
     def test_unpruned_dimension_is_carrier_size(self, diamond):
         n, _ = canonical_embedding(diamond)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from morgan_unify import (
+    InvPoset,
     MostGeneral,
     PreconditionError,
     SizeGuardError,
@@ -23,11 +24,17 @@ from morgan_unify import (
     validate_poset,
     verify_null_pattern,
 )
+from morgan_unify.cli import ANCHOR_ORDER
 from morgan_unify.involutive import make_inv_morphism
 from morgan_unify.order import make_monotone_map
 from morgan_unify.unification import core_of
 
-from reference import ordered_brute_force
+from reference import (
+    NULL_PATTERN_SHAPES,
+    ordered_brute_force,
+    reference_find_null_pattern,
+    reference_verify_null_pattern,
+)
 from strategies import invposets
 
 
@@ -249,6 +256,72 @@ class TestNullPatterns:
         bad = {k: k for k in "xabcdy"}
         bad["c"] = "y"  # an element now sits between a, b and y, d
         assert not verify_null_pattern(crown, "bdl", bad)
+
+
+def small_pattern_cases():
+    """bdl on every poset, the involutive families on every involutive
+    poset, of at most five points."""
+    for p in enumerate_posets_upto(5):
+        yield p, "bdl"
+    for iv in enumerate_invposets_upto(5):
+        for family in ("k1", "k2", "m1", "m2", "m3"):
+            yield iv, family
+
+
+class TestPatternTableAgainstReference:
+    def test_certificate_order_is_the_reference_order(self):
+        assert ANCHOR_ORDER == {
+            family: tuple(order) for family, (order, _) in NULL_PATTERN_SHAPES.items()
+        }
+
+    def test_find_matches_reference_small(self):
+        for struct, family in small_pattern_cases():
+            assert find_null_pattern(struct, family) == reference_find_null_pattern(
+                struct, family
+            ), (struct, family)
+
+    @pytest.mark.parametrize(
+        "name, family",
+        [
+            ("crown", "bdl"),
+            ("k1", "k1"),
+            ("k1", "m1"),
+            ("k2", "m1"),
+            ("m1", "k1"),
+            ("m1", "m1"),
+            ("m2", "m2"),
+            ("m2", "m3"),
+        ],
+    )
+    def test_find_matches_reference_on_gallery(self, name, family, crown, pattern_instances):
+        struct = crown if name == "crown" else pattern_instances[name]
+        assert find_null_pattern(struct, family) == reference_find_null_pattern(struct, family)
+
+    def test_verify_matches_reference_on_moved_anchors(self, crown, pattern_instances):
+        found = [
+            (struct, family, anchors)
+            for struct, family in small_pattern_cases()
+            if (anchors := find_null_pattern(struct, family)) is not None
+        ]
+        for struct in [crown, *pattern_instances.values()]:
+            families = NULL_PATTERN_SHAPES if isinstance(struct, InvPoset) else ("bdl",)
+            for family in families:
+                anchors = find_null_pattern(struct, family)
+                if anchors is not None:
+                    found.append((struct, family, anchors))
+        assert {family for _, family, _ in found} == set(NULL_PATTERN_SHAPES)
+        for struct, family, anchors in found:
+            assert verify_null_pattern(struct, family, anchors)
+            assert reference_verify_null_pattern(struct, family, anchors)
+            for name in anchors:
+                for v in struct.elements:
+                    moved = {**anchors, name: v}
+                    assert verify_null_pattern(
+                        struct, family, moved
+                    ) == reference_verify_null_pattern(struct, family, moved), (
+                        family,
+                        moved,
+                    )
 
 
 class TestMoreGeneral:

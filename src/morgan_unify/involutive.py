@@ -174,25 +174,23 @@ def product(p: InvPoset, q: InvPoset, sep: str = "") -> InvPoset:
     """Product in FPM: pairwise order, coordinatewise involution.
 
     Element names concatenate the factors' names (digit strings for
-    powers of DIAMOND, matching the usual labelling of D^n).
+    powers of DIAMOND, matching the usual labelling of D^n).  The order
+    is the product of the factors' orders, pair by pair.
     """
-    names = {}
-    elems = []
+    label: dict[Pair, str] = {}
+    seen: set[str] = set()
     for a in p.elements:
         for b in q.elements:
             name = a + sep + b
-            if name in names:
+            if name in seen:
                 raise ValidationError(f"ambiguous product label {name!r}", name)
-            names[name] = (a, b)
-            elems.append(name)
+            seen.add(name)
+            label[a, b] = name
     le = frozenset(
-        (x, y)
-        for x, (a, b) in names.items()
-        for y, (c, d) in names.items()
-        if p.base.leq(a, c) and q.base.leq(b, d)
+        (label[a, b], label[c, d]) for a, c in p.base.le for b, d in q.base.le
     )
-    base = Poset(tuple(elems), le)
-    inv = {x: p.i(a) + sep + q.i(b) for x, (a, b) in names.items()}
+    base = Poset(tuple(label.values()), le)
+    inv = {x: label[p.i(a), q.i(b)] for (a, b), x in label.items()}
     return make_invposet(base, inv)
 
 

@@ -56,6 +56,16 @@ class Poset:
         return tuple(down), tuple(up)
 
     @cached_property
+    def _mask_index(self) -> tuple[dict[int, int], dict[int, int]]:
+        """Each element's index keyed by its down-set mask, and keyed by its
+        up-set mask; both are unique by antisymmetry."""
+        down, up = self._masks
+        return (
+            {m: i for i, m in enumerate(down)},
+            {m: i for i, m in enumerate(up)},
+        )
+
+    @cached_property
     def _extension(self) -> tuple[int, ...]:
         """Element indices along linear_extension()."""
         return tuple(self.index[x] for x in self.linear_extension())
@@ -96,35 +106,25 @@ class Poset:
     def maximals(self) -> tuple[str, ...]:
         return tuple(x for x in self.elements if self._up[x] == frozenset({x}))
 
-    def upper_bounds(self, xs: Iterable[str]) -> frozenset[str]:
-        out: frozenset[str] | None = None
+    def _bound(self, xs: Iterable[str], side: int) -> str | None:
+        """The point whose down-set (side 0) or up-set (side 1) is the
+        common one of `xs`: their meet or join, if it exists."""
+        masks = self._masks[side]
+        common = (1 << len(self.elements)) - 1
         for x in xs:
-            out = self._up[x] if out is None else out & self._up[x]
-        return frozenset(self.elements) if out is None else out
-
-    def lower_bounds(self, xs: Iterable[str]) -> frozenset[str]:
-        out: frozenset[str] | None = None
-        for x in xs:
-            out = self._down[x] if out is None else out & self._down[x]
-        return frozenset(self.elements) if out is None else out
+            common &= masks[self.index[x]]
+        i = self._mask_index[side].get(common)
+        return None if i is None else self.elements[i]
 
     def join(self, xs: Iterable[str]) -> str | None:
         """Least upper bound of `xs` in this poset, or None if absent.
 
         join([]) is the bottom element when one exists.
         """
-        ub = self.upper_bounds(xs)
-        for u in self.elements:
-            if u in ub and ub <= self._up[u]:
-                return u
-        return None
+        return self._bound(xs, 1)
 
     def meet(self, xs: Iterable[str]) -> str | None:
-        lb = self.lower_bounds(xs)
-        for v in self.elements:
-            if v in lb and lb <= self._down[v]:
-                return v
-        return None
+        return self._bound(xs, 0)
 
     def bottom(self) -> str | None:
         return self.join(())
@@ -236,15 +236,15 @@ def validate_poset(
     if mode not in ("covers", "le"):
         raise ValidationError(f"unknown closure mode {mode!r}")
     elems = tuple(elements)
-    seen: set[str] = set()
+    position: dict[str, int] = {}
     for x in elems:
-        if x in seen:
+        if x in position:
             raise ValidationError(f"duplicate element {x!r}", witness=x)
-        seen.add(x)
+        position[x] = len(position)
     pair_list = list(pairs)
     for a, b in pair_list:
-        if a not in seen or b not in seen:
-            bad = a if a not in seen else b
+        if a not in position or b not in position:
+            bad = a if a not in position else b
             raise ValidationError(f"dangling pair ({a!r}, {b!r})", witness=bad)
 
     succ: dict[str, set[str]] = {x: {x} for x in elems}
@@ -264,23 +264,25 @@ def validate_poset(
                     changed = True
     else:
         for x in elems:
-            for y in succ[x]:
-                missing = succ[y] - succ[x]
-                if missing:
-                    z = min(missing)
-                    raise ValidationError(
-                        f"transitivity gap: {x!r} <= {y!r} <= {z!r} "
-                        f"but ({x!r}, {z!r}) missing",
-                        witness=(x, y, z),
-                    )
+            gaps = [y for y in succ[x] if not succ[y] <= succ[x]]
+            if gaps:
+                # witnesses are taken in element order, not set order
+                y = min(gaps, key=position.__getitem__)
+                z = min(succ[y] - succ[x])
+                raise ValidationError(
+                    f"transitivity gap: {x!r} <= {y!r} <= {z!r} "
+                    f"but ({x!r}, {z!r}) missing",
+                    witness=(x, y, z),
+                )
 
     for x in elems:
-        for y in succ[x]:
-            if x != y and x in succ[y]:
-                raise ValidationError(
-                    f"antisymmetry violation: cycle through {x!r} and {y!r}",
-                    witness=(x, y),
-                )
+        cycle = [y for y in succ[x] if x != y and x in succ[y]]
+        if cycle:
+            y = min(cycle, key=position.__getitem__)
+            raise ValidationError(
+                f"antisymmetry violation: cycle through {x!r} and {y!r}",
+                witness=(x, y),
+            )
 
     le = frozenset((x, y) for x in elems for y in succ[x])
     return Poset(elems, le)
@@ -301,51 +303,55 @@ def lattice_report(p: Poset) -> LatticeReport:
     """
     if not p.elements:
         return LatticeReport(False, False, None)
+    down, up = p._masks
+    by_down, by_up = p._mask_index
     witness = None
-    is_lattice = True
     is_meet = True
-    for x, y in combinations(p.elements, 2):
-        no_join = p.join((x, y)) is None
-        no_meet = p.meet((x, y)) is None
-        if no_meet:
-            is_meet = False
-        if no_join or no_meet:
-            is_lattice = False
+    for i, j in combinations(range(len(p.elements)), 2):
+        no_meet = (down[i] & down[j]) not in by_down
+        if no_meet or (up[i] & up[j]) not in by_up:
             if witness is None:
-                witness = (x, y)
-    return LatticeReport(is_lattice, is_meet, witness)
+                witness = (p.elements[i], p.elements[j])
+            if no_meet:
+                is_meet = False
+                break  # no later pair changes the report
+    return LatticeReport(witness is None, is_meet, witness)
 
 
 def is_three_complete(p: Poset) -> tuple[bool, frozenset[str] | None]:
     """Whether every nonempty pairwise-bounded subset has a supremum.
 
-    Enumerates antichain-generated subsets depth-first in canonical
-    order, pruning any extension that introduces a bound-less pair, and
-    returns the first counterexample subset found.
+    On a finite poset that holds exactly when (a) every bounded pair has
+    a join and (b) every pairwise-bounded triple is bounded: replacing
+    two members of a pairwise-bounded set by their join keeps it
+    pairwise bounded, by (b), with the same upper bounds, so induction on
+    size gives the join of the whole set.  The witness is the first
+    bounded pair without a join, in element order; failing that, the
+    first pairwise-bounded triple without an upper bound.
     """
     elems = p.elements
     n = len(elems)
-
-    def bounded(x: str, y: str) -> bool:
-        return bool(p.upper_bounds((x, y)))
-
-    def walk(current: list[str], start: int) -> frozenset[str] | None:
-        if len(current) >= 2 and p.join(current) is None:
-            return frozenset(current)
-        for i in range(start, n):
-            z = elems[i]
-            if all(bounded(x, z) for x in current):
-                current.append(z)
-                bad = walk(current, i + 1)
-                if bad is not None:
-                    return bad
-                current.pop()
-        return None
-
+    up = p._masks[1]
+    by_up = p._mask_index[1]
+    # bnd[i]: the points that share an upper bound with i
+    bnd = [sum(1 << j for j in range(n) if u & up[j]) for u in up]
+    joins = []
     for i in range(n):
-        bad = walk([elems[i]], i + 1)
-        if bad is not None:
-            return False, bad
+        later = bnd[i] >> (i + 1) << (i + 1)
+        while later:
+            low = later & -later
+            later ^= low
+            j = low.bit_length() - 1
+            m = by_up.get(up[i] & up[j])
+            if m is None:
+                return False, frozenset((elems[i], elems[j]))
+            joins.append((i, j, m))
+    for i, j, m in joins:
+        # with m the join of i and j, {i, j, k} is bounded iff k and m are
+        bad = (bnd[i] & bnd[j] & ~bnd[m]) >> (j + 1)
+        if bad:
+            k = j + (bad & -bad).bit_length()
+            return False, frozenset((elems[i], elems[j], elems[k]))
     return True, None
 
 

@@ -68,28 +68,6 @@ def check_k2(p: InvPoset) -> tuple[bool, tuple[str, str] | None]:
     return True, None
 
 
-def m3_fast_path(p: InvPoset) -> bool:
-    """First-order triple-wise form of 3-completeness; valid on lattices.
-
-    Quantifies over triples whose pairwise joins sit below their own
-    involutes and asks the same of the triple join.
-    """
-    if not lattice_report(p.base).is_nonempty_lattice:
-        raise PreconditionError("triple-wise check requires a nonempty lattice")
-    base = p.base
-    elems = p.elements
-
-    def good(*xs: str) -> bool:
-        j = base.join(xs)
-        assert j is not None
-        return base.leq(j, p.i(j))
-
-    for x, y, z in combinations_with_replacement(elems, 3):
-        if good(x, y) and good(x, z) and good(y, z) and not good(x, y, z):
-            return False
-    return True
-
-
 def condition_report(p: InvPoset) -> ConditionReport:
     witnesses: dict[str, object] = {}
     rep = lattice_report(p.base)
@@ -239,6 +217,15 @@ def canonical_embedding(
     return n, _check_embedding(p, target, vectors)
 
 
+def _ambient(e: InvMorphism, n: int, variety: str) -> InvPoset:
+    """The embedding's codomain power(DIAMOND, n), or its Kleene part."""
+    if len(e.cod) != 4**n:
+        raise PreconditionError(
+            f"embedding codomain has {len(e.cod)} points, not the {4**n} of D^{n}"
+        )
+    return kleene_part(e.cod) if variety == "kleene" else e.cod
+
+
 def _restriction_to_image(p: InvPoset, e: InvMorphism) -> dict[str, str]:
     return {e(x): x for x in p.elements}
 
@@ -265,8 +252,7 @@ def build_retraction(
         raise SizeGuardError(
             f"retraction ambient D^{n} too large; pass a pruned embedding"
         )
-    ambient = power(DIAMOND, n)
-    dom = kleene_part(ambient) if variety == "kleene" else ambient
+    dom = _ambient(e, n, variety)
     image = _restriction_to_image(p, e)
     base = p.base
 
@@ -347,8 +333,7 @@ def oracle_retraction_search(
     n, e = embedding
     if n > 4:
         raise SizeGuardError(f"oracle guard: embedding dimension {n} exceeds 4")
-    ambient = power(DIAMOND, n)
-    dom = kleene_part(ambient) if variety == "kleene" else ambient
+    dom = _ambient(e, n, variety)
     forced = {
         v: (x,) for v, x in _restriction_to_image(p, e).items() if v in dom.base
     }

@@ -1,7 +1,13 @@
 import pathlib
 
 import pytest
-from morgan_unify import DIAMOND, validate_involutive, validate_poset
+from morgan_unify import (
+    DIAMOND,
+    enumerate_invposets_upto,
+    enumerate_posets_upto,
+    validate_involutive,
+    validate_poset,
+)
 from morgan_unify.gallery import (
     crown_poset,
     free_demorgan_one,
@@ -52,3 +58,15 @@ def point():
 @pytest.fixture(scope="session")
 def antichain_swap():
     return validate_involutive(validate_poset(["a", "b"], []), {"a": "b", "b": "a"})
+
+
+@pytest.fixture(scope="session")
+def posets_upto_6():
+    """One poset per isomorphism class, at most 6 points (406 classes)."""
+    return list(enumerate_posets_upto(6))
+
+
+@pytest.fixture(scope="session")
+def invposets_upto_6(posets_upto_6):
+    """One involutive poset per class, at most 6 points (124 classes)."""
+    return list(enumerate_invposets_upto(6, posets_upto_6))

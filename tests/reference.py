@@ -5,14 +5,24 @@ the library: it lists all maps in the order the library's search yields
 them.  The Boolean-cube embedding and its retraction oracle serve the
 bdl half of the projectivity agreement check.  `greedy_pruned_vectors`
 is the plain form of the embedding's column pruning, and the null-pattern
-finder and verifier state each nullarity family clause by clause.
+finder and verifier state each nullarity family clause by clause.  The
+scanning joins and meets, the depth-first 3-completeness walk, the
+all-pairs product and the triple-wise m3 check are the forms the order
+kernels replaced.
 """
 
+import functools
 import itertools
 
 from morgan_unify import PreconditionError, SizeGuardError, ValidationError
-from morgan_unify.involutive import DIAMOND, InvPoset
-from morgan_unify.order import MonotoneMap, Poset, make_monotone_map, search_maps
+from morgan_unify.involutive import DIAMOND, InvPoset, make_invposet
+from morgan_unify.order import (
+    MonotoneMap,
+    Poset,
+    lattice_report,
+    make_monotone_map,
+    search_maps,
+)
 from morgan_unify.projectivity import _coordinate
 
 
@@ -206,3 +216,111 @@ def reference_verify_null_pattern(struct, family: str, anchors: dict[str, str]) 
 def _nobody_between(base: Poset, a: str, b: str, c: str, d: str) -> bool:
     mids = base.up_of([a]) & base.up_of([b]) & base.down_of([c]) & base.down_of([d])
     return not mids
+
+
+def upper_bounds(p: Poset, xs) -> frozenset[str]:
+    out = frozenset(p.elements)
+    for x in xs:
+        out &= p.up_of([x])
+    return out
+
+
+def lower_bounds(p: Poset, xs) -> frozenset[str]:
+    out = frozenset(p.elements)
+    for x in xs:
+        out &= p.down_of([x])
+    return out
+
+
+def scan_join(p: Poset, xs) -> str | None:
+    """Least upper bound by a scan over the elements for a bound below
+    every upper bound."""
+    ub = upper_bounds(p, xs)
+    for u in p.elements:
+        if u in ub and ub <= p.up_of([u]):
+            return u
+    return None
+
+
+def scan_meet(p: Poset, xs) -> str | None:
+    lb = lower_bounds(p, xs)
+    for v in p.elements:
+        if v in lb and lb <= p.down_of([v]):
+            return v
+    return None
+
+
+def dfs_is_three_complete(p: Poset) -> tuple[bool, frozenset[str] | None]:
+    """Depth-first walk over every pairwise-bounded subset in canonical
+    order; the first subset of two or more points without a join is the
+    counterexample."""
+    elems = p.elements
+    n = len(elems)
+
+    def bounded(x: str, y: str) -> bool:
+        return bool(upper_bounds(p, (x, y)))
+
+    def walk(current: list[str], start: int) -> frozenset[str] | None:
+        if len(current) >= 2 and scan_join(p, current) is None:
+            return frozenset(current)
+        for i in range(start, n):
+            z = elems[i]
+            if all(bounded(x, z) for x in current):
+                current.append(z)
+                bad = walk(current, i + 1)
+                if bad is not None:
+                    return bad
+                current.pop()
+        return None
+
+    for i in range(n):
+        bad = walk([elems[i]], i + 1)
+        if bad is not None:
+            return False, bad
+    return True, None
+
+
+def pairwise_product(p: InvPoset, q: InvPoset, sep: str = "") -> InvPoset:
+    """The FPM product with its order found by testing every pair of
+    labels against both factors."""
+    names = {}
+    for a in p.elements:
+        for b in q.elements:
+            name = a + sep + b
+            if name in names:
+                raise ValidationError(f"ambiguous product label {name!r}", name)
+            names[name] = (a, b)
+    le = frozenset(
+        (x, y)
+        for x, (a, b) in names.items()
+        for y, (c, d) in names.items()
+        if p.base.leq(a, c) and q.base.leq(b, d)
+    )
+    inv = {x: p.i(a) + sep + q.i(b) for x, (a, b) in names.items()}
+    return make_invposet(Poset(tuple(names), le), inv)
+
+
+def pairwise_power(p: InvPoset, n: int) -> InvPoset:
+    """power(p, n) for n >= 1 built with `pairwise_product`."""
+    return functools.reduce(lambda acc, _: pairwise_product(acc, p), range(n - 1), p)
+
+
+def m3_fast_path(p: InvPoset) -> bool:
+    """First-order triple-wise form of 3-completeness; valid on lattices.
+
+    Quantifies over triples whose pairwise joins sit below their own
+    involutes and asks the same of the triple join.
+    """
+    if not lattice_report(p.base).is_nonempty_lattice:
+        raise PreconditionError("triple-wise check requires a nonempty lattice")
+    base = p.base
+
+    def good(*xs: str) -> bool:
+        j = scan_join(base, xs)
+        assert j is not None
+        return base.leq(j, p.i(j))
+
+    for x, y, z in itertools.combinations_with_replacement(p.elements, 3):
+        if good(x, y) and good(x, z) and good(y, z) and not good(x, y, z):
+            return False
+    return True

@@ -147,6 +147,18 @@ class TestOtherCommands:
         assert code == 0 and report["projective"] is False
         assert report["witnesses"]["m1"] == ["a", "b"]
 
+    @pytest.mark.parametrize(
+        "name, witness",
+        [("k1_pattern.json", ["a", "b"]), ("k2_pattern.json", ["a", "b", "c"])],
+    )
+    def test_projective_m3_witness(self, name, witness, data_dir, cli):
+        # the first bounded pair without a join, else the first
+        # pairwise-bounded triple without an upper bound
+        code, out = cli(["projective", str(data_dir / name), "--variety", "kleene"])
+        report = json.loads(out)
+        assert code == 0 and report["conditions"]["m3"] is False
+        assert report["witnesses"]["m3"] == witness
+
     def test_core_command(self, data_dir, cli):
         code, out = cli(["core", str(data_dir / "k2_pattern.json"), "--variety", "kleene"])
         assert code == 0
@@ -283,3 +295,38 @@ def test_pattern_certificate_independent_of_hash_seed(tmp_path):
     assert len(outputs) == 1
     cert = json.loads(outputs.pop())["certificate"]
     assert cert == {"family": "k1", "tuple": ["x", "a", "b", "c", "d", "y", "z"]}
+
+
+@pytest.mark.parametrize(
+    "doc, witness",
+    [
+        (
+            {"kind": "poset", "elements": ["a", "b", "c", "d"],
+             "covers": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]},
+            ["a", "b"],
+        ),
+        (
+            {"kind": "poset", "elements": ["a", "b", "c", "d", "e"],
+             "le": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "e"]]},
+            ["a", "b", "d"],
+        ),
+    ],
+    ids=["cycle", "le_gap"],
+)
+def test_validation_witness_independent_of_hash_seed(doc, witness, tmp_path):
+    # the 4-cycle fails antisymmetry, the le relation transitivity; each
+    # witness takes its points in element order under every seed
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    outputs = set()
+    for seed in range(6):
+        proc = subprocess.run(
+            [sys.executable, "-m", "morgan_unify.cli", "validate", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        )
+        assert proc.returncode == 1
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    assert json.loads(outputs.pop())["witness"] == witness

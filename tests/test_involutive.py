@@ -23,7 +23,7 @@ from morgan_unify.involutive import (
     make_invposet,
 )
 
-from reference import ordered_brute_force
+from reference import ordered_brute_force, pairwise_power, pairwise_product
 from strategies import invposets
 
 
@@ -68,6 +68,23 @@ class TestProductsAndPowers:
         prod = product(point, point)
         assert len(prod) == 1
         assert prod.fixed_points == ("pp",)
+
+    def test_product_matches_pairwise_reference(self):
+        small = list(enumerate_invposets_upto(3))
+        for p, q in itertools.product(small, repeat=2):
+            assert product(p, q) == pairwise_product(p, q)
+            assert product(p, q, sep=".") == pairwise_product(p, q, sep=".")
+        assert len(small) ** 2 >= 25
+
+    def test_power_matches_pairwise_reference(self):
+        for n in (1, 2, 3, 4):
+            assert power(DIAMOND, n) == pairwise_power(DIAMOND, n)
+
+    def test_product_labels_must_be_unambiguous(self):
+        p = validate_involutive(validate_poset(["a", "ab"], []), {"a": "a", "ab": "ab"})
+        q = validate_involutive(validate_poset(["b", "bb"], []), {"b": "b", "bb": "bb"})
+        with pytest.raises(ValidationError, match="ambiguous"):
+            product(p, q)
 
     def test_associative_up_to_isomorphism(self):
         left = product(product(DIAMOND, DIAMOND), DIAMOND)

@@ -5,18 +5,27 @@ import pytest
 from hypothesis import given, settings
 
 from morgan_unify import (
+    DIAMOND,
     ValidationError,
     enumerate_invposets_upto,
     enumerate_monotone_maps,
     enumerate_posets_upto,
     find_isomorphism,
     is_three_complete,
+    kleene_part,
     lattice_report,
+    power,
     validate_poset,
 )
 from morgan_unify.order import POSET_CLASS_COUNTS, Poset, make_monotone_map
 
-from reference import ordered_brute_force
+from reference import (
+    dfs_is_three_complete,
+    ordered_brute_force,
+    scan_join,
+    scan_meet,
+    upper_bounds,
+)
 from strategies import posets
 
 
@@ -94,6 +103,24 @@ class TestBounds:
     def test_join_of_empty_is_bottom(self):
         assert d_poset().join([]) == "2"
         assert validate_poset(["a", "b"], []).join([]) is None
+        assert validate_poset([], []).join([]) is None
+
+    def test_unknown_element_raises_key_error(self):
+        with pytest.raises(KeyError):
+            d_poset().join(["0", "nope"])
+        with pytest.raises(KeyError):
+            d_poset().meet(["nope"])
+
+    def test_lookup_matches_scan_on_every_subset(self):
+        # every subset of every poset of at most 5 points
+        subsets = 0
+        for p in enumerate_posets_upto(5):
+            for size in range(len(p.elements) + 1):
+                for xs in itertools.combinations(p.elements, size):
+                    assert p.join(xs) == scan_join(p, xs)
+                    assert p.meet(xs) == scan_meet(p, xs)
+                    subsets += 1
+        assert subsets == 2323
 
 
 class TestLatticeReport:
@@ -132,6 +159,56 @@ class TestThreeComplete:
         ok, bad = is_three_complete(p)
         assert not ok
         assert bad == {"a", "b"}
+
+    def test_unbounded_triple_counterexample(self):
+        # a, b, c are pairwise bounded by ab, ac, bc but have no common bound
+        p = validate_poset(
+            ["a", "b", "c", "ab", "ac", "bc"],
+            [("a", "ab"), ("b", "ab"), ("a", "ac"), ("c", "ac"), ("b", "bc"), ("c", "bc")],
+        )
+        assert is_three_complete(p) == (False, {"a", "b", "c"})
+
+    def test_pair_witness_comes_before_triple(self):
+        # the triple a, b, c is unbounded, but the later pair d, e has two
+        # minimal upper bounds; a failing pair is reported first
+        p = validate_poset(
+            ["a", "b", "c", "ab", "ac", "bc", "d", "e", "f", "g"],
+            [("a", "ab"), ("b", "ab"), ("a", "ac"), ("c", "ac"), ("b", "bc"),
+             ("c", "bc"), ("d", "f"), ("d", "g"), ("e", "f"), ("e", "g")],
+        )
+        assert is_three_complete(p) == (False, {"d", "e"})
+
+    def test_agrees_with_dfs_on_posets_upto_6(self, posets_upto_6):
+        failing = 0
+        for p in posets_upto_6:
+            ok, bad = is_three_complete(p)
+            assert ok == dfs_is_three_complete(p)[0]
+            if not ok:
+                assert_genuine_counterexample(p, bad)
+                failing += 1
+            else:
+                assert bad is None
+        assert failing > 0
+
+    def test_agrees_with_dfs_on_self_below_parts(self, invposets_upto_6, pattern_instances):
+        structures = list(invposets_upto_6) + list(pattern_instances.values())
+        structures += [power(DIAMOND, 2), kleene_part(power(DIAMOND, 2))]
+        failing = 0
+        for iv in structures:
+            sub = iv.base.restrict(iv.self_below_inv())
+            ok, bad = is_three_complete(sub)
+            assert ok == dfs_is_three_complete(sub)[0]
+            if not ok:
+                assert_genuine_counterexample(sub, bad)
+                failing += 1
+        assert failing > 0
+
+
+def assert_genuine_counterexample(p: Poset, bad) -> None:
+    """`bad` is a 2- or 3-point pairwise-bounded subset with no join."""
+    assert len(bad) in (2, 3)
+    assert all(upper_bounds(p, pair) for pair in itertools.combinations(bad, 2))
+    assert scan_join(p, bad) is None
 
 
 class TestEnumeration:

@@ -18,9 +18,13 @@ from morgan_unify import (
     validate_poset,
 )
 from morgan_unify.involutive import make_inv_morphism
-from morgan_unify.projectivity import m3_fast_path
 
-from reference import cube_embedding, greedy_pruned_vectors, oracle_poset_retraction
+from reference import (
+    cube_embedding,
+    greedy_pruned_vectors,
+    m3_fast_path,
+    oracle_poset_retraction,
+)
 from strategies import invposets
 
 
@@ -142,6 +146,11 @@ class TestBuildRetraction:
     def test_rejects_non_projective(self, antichain_swap):
         with pytest.raises(PreconditionError):
             build_retraction(antichain_swap, "demorgan")
+
+    def test_rejects_embedding_of_wrong_dimension(self, diamond):
+        n, e = canonical_embedding(diamond, prune=True)
+        with pytest.raises(PreconditionError, match="codomain"):
+            build_retraction(diamond, "demorgan", embedding=(n + 1, e))
 
     def test_retraction_composes_to_identity(self, diamond):
         emb = canonical_embedding(diamond)

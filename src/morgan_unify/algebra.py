@@ -12,7 +12,7 @@ from itertools import product as cartesian
 from typing import Iterator
 
 from .errors import ValidationError
-from .order import Pair, Poset, search_maps
+from .order import Pair, Poset, antitone_violation, search_maps
 
 TAG_BDL = "bounded-distributive"
 TAG_DEMORGAN = "de-morgan"
@@ -148,11 +148,12 @@ def validate_algebra(carrier: Poset, neg: dict[str, str] | None = None) -> Finit
         for a in elems:
             if neg[neg[a]] != a:
                 raise ValidationError(f"negation not involutive at {a!r}", witness=a)
-        for a, b in carrier.le:
-            if not carrier.leq(neg[b], neg[a]):
-                raise ValidationError(
-                    f"negation not antitone on {a!r} <= {b!r}", witness=(a, b)
-                )
+        bad = antitone_violation(carrier, neg)
+        if bad is not None:
+            a, b = bad
+            raise ValidationError(
+                f"negation not antitone on {a!r} <= {b!r}", witness=(a, b)
+            )
 
     tags = _derive_tags(carrier, neg)
     neg_pairs = tuple((x, neg[x]) for x in elems) if neg is not None else None

@@ -28,17 +28,19 @@ def _downset_name(p: Poset, xs: frozenset[str]) -> str:
 
 def _all_downsets(p: Poset) -> list[frozenset[str]]:
     """All downsets of p, in a deterministic (size, name) order."""
-    seen: set[frozenset[str]] = set()
-    frontier = [frozenset()]
+    seen: set[int] = set()
+    frontier = [0]
     while frontier:
         current = frontier.pop()
         if current in seen:
             continue
         seen.add(current)
-        for x in p.elements:
-            if x not in current and p._down[x] <= current | {x}:
-                frontier.append(current | {x})
-    return sorted(seen, key=lambda s: (len(s), _downset_name(p, s)))
+        for i, down in enumerate(p.down_masks):
+            # x = elements[i] is addable when all of its down-set but x is in
+            if down & ~current == 1 << i:
+                frontier.append(current | 1 << i)
+    downsets = [frozenset(p.members(m)) for m in seen]
+    return sorted(downsets, key=lambda s: (len(s), _downset_name(p, s)))
 
 
 def downset_algebra(p: Poset) -> FiniteAlgebra:
@@ -49,7 +51,7 @@ def downset_algebra(p: Poset) -> FiniteAlgebra:
     le = frozenset(
         (a, b) for a in names for b in names if by_name[a] <= by_name[b]
     )
-    return trusted_algebra(Poset(tuple(names), le), None)
+    return trusted_algebra(Poset.from_pairs(names, le), None)
 
 
 def join_irreducibles(a: FiniteAlgebra) -> Poset:
@@ -104,7 +106,7 @@ def demorgan_from_dual(p: InvPoset) -> FiniteAlgebra:
     le = frozenset(
         (a, b) for a in names for b in names if by_name[a] <= by_name[b]
     )
-    return trusted_algebra(Poset(tuple(names), le), neg)
+    return trusted_algebra(Poset.from_pairs(names, le), neg)
 
 
 def dual_of_hom(h: Homomorphism) -> MonotoneMap | InvMorphism:

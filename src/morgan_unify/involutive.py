@@ -17,7 +17,10 @@ from .order import (
     MonotoneMap,
     Pair,
     Poset,
+    antitone_violation,
+    bits,
     find_isomorphism,
+    order_violation,
     search_maps,
     validate_poset,
 )
@@ -96,11 +99,12 @@ def validate_involutive(base: Poset, inv: dict[str, str]) -> InvPoset:
             raise ValidationError(
                 f"not involutive at {x!r}: i(i({x!r})) = {inv[inv[x]]!r}", witness=x
             )
-    for a, b in base.le:
-        if not base.leq(inv[b], inv[a]):
-            raise ValidationError(
-                f"involution not antitone on {a!r} <= {b!r}", witness=(a, b)
-            )
+    bad = antitone_violation(base, inv)
+    if bad is not None:
+        a, b = bad
+        raise ValidationError(
+            f"involution not antitone on {a!r} <= {b!r}", witness=(a, b)
+        )
     return make_invposet(base, inv)
 
 
@@ -175,7 +179,8 @@ def product(p: InvPoset, q: InvPoset, sep: str = "") -> InvPoset:
 
     Element names concatenate the factors' names (digit strings for
     powers of DIAMOND, matching the usual labelling of D^n).  The order
-    is the product of the factors' orders, pair by pair.
+    is the product of the factors' orders: the up-mask of (a, b) holds
+    b's up-mask once per point above a.
     """
     label: dict[Pair, str] = {}
     seen: set[str] = set()
@@ -186,10 +191,16 @@ def product(p: InvPoset, q: InvPoset, sep: str = "") -> InvPoset:
                 raise ValidationError(f"ambiguous product label {name!r}", name)
             seen.add(name)
             label[a, b] = name
-    le = frozenset(
-        (label[a, b], label[c, d]) for a, c in p.base.le for b, d in q.base.le
-    )
-    base = Poset(tuple(label.values()), le)
+    width = len(q.elements)
+    up = []
+    for pu in p.base.up_masks:
+        shifts = [j * width for j in bits(pu)]
+        for qu in q.base.up_masks:
+            u = 0
+            for s in shifts:
+                u |= qu << s
+            up.append(u)
+    base = Poset(tuple(label.values()), tuple(up))
     inv = {x: label[p.i(a), q.i(b)] for (a, b), x in label.items()}
     return make_invposet(base, inv)
 
@@ -228,11 +239,10 @@ def involutions_of(p: Poset) -> Iterator[dict[str, str]]:
     """All antitone involutions on p, in deterministic order."""
     n = len(p.elements)
     for perm in permutations(range(n)):
-        sigma = {p.elements[i]: p.elements[perm[i]] for i in range(n)}
-        if any(sigma[sigma[x]] != x for x in p.elements):
+        if any(perm[perm[i]] != i for i in range(n)):
             continue
-        if all(p.leq(sigma[b], sigma[a]) for a, b in p.le):
-            yield sigma
+        if order_violation(p, perm, p.down_masks) is None:
+            yield {p.elements[i]: p.elements[perm[i]] for i in range(n)}
 
 
 def enumerate_invposets_upto(

@@ -1,9 +1,12 @@
 """Finite posets: validation, subposets, bounds, enumeration, isomorphism,
 and the one backtracking search for monotone maps between them.
 
-Element identifiers are opaque strings.  The order relation is stored
-reflexive-transitively closed; the `elements` tuple fixes the canonical
-iteration order used for all deterministic tie-breaking downstream.
+Element identifiers are opaque strings; the `elements` tuple fixes the
+canonical iteration order used for all deterministic tie-breaking
+downstream.  The order is held as up-masks over element indices: bit j
+of `up_masks[i]` is set when elements[i] <= elements[j], so the stored
+relation is reflexive-transitively closed.  Down-masks, the mask-to-point
+index and the pair set `le` are views derived from the up-masks.
 """
 
 from __future__ import annotations
@@ -21,54 +24,68 @@ Pair = tuple[str, str]
 POSET_CLASS_COUNTS = (1, 1, 2, 5, 16, 63, 318)
 
 
+def bits(m: int) -> Iterator[int]:
+    """The indices of the set bits of `m`, ascending."""
+    while m:
+        low = m & -m
+        m ^= low
+        yield low.bit_length() - 1
+
+
 @dataclass(frozen=True)
 class Poset:
+    """A finite poset: its elements in canonical order and, for each, the
+    up-mask of the elements above it, itself included."""
+
     elements: tuple[str, ...]
-    le: frozenset[Pair]
+    up_masks: tuple[int, ...]
+
+    @classmethod
+    def from_pairs(cls, elements: Iterable[str], le: Iterable[Pair]) -> "Poset":
+        """Trusted construction from a reflexive-transitively closed
+        relation; reflexive pairs may be left out.  Nothing is checked."""
+        elems = tuple(elements)
+        idx = {x: i for i, x in enumerate(elems)}
+        up = [1 << i for i in range(len(elems))]
+        for a, b in le:
+            up[idx[a]] |= 1 << idx[b]
+        return cls(elems, tuple(up))
 
     @cached_property
     def index(self) -> dict[str, int]:
         return {x: i for i, x in enumerate(self.elements)}
 
     @cached_property
-    def _down(self) -> dict[str, frozenset[str]]:
-        down: dict[str, set[str]] = {x: set() for x in self.elements}
-        for a, b in self.le:
-            down[b].add(a)
-        return {x: frozenset(s) for x, s in down.items()}
+    def down_masks(self) -> tuple[int, ...]:
+        """Down-set bitmasks: the transpose of the up-masks."""
+        n = len(self.elements)
+        # transposed through binary strings, at C speed; a Python loop
+        # would take one step per pair of the relation
+        rows = [format(u, f"0{n}b") for u in self.up_masks]
+        return tuple(int("".join(col)[::-1], 2) for col in zip(*rows))[::-1]
 
     @cached_property
-    def _up(self) -> dict[str, frozenset[str]]:
-        up: dict[str, set[str]] = {x: set() for x in self.elements}
-        for a, b in self.le:
-            up[a].add(b)
-        return {x: frozenset(s) for x, s in up.items()}
-
-    @cached_property
-    def _masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Down-set and up-set bitmasks over element indices."""
-        idx = self.index
-        down = [0] * len(self.elements)
-        up = [0] * len(self.elements)
-        for a, b in self.le:
-            down[idx[b]] |= 1 << idx[a]
-            up[idx[a]] |= 1 << idx[b]
-        return tuple(down), tuple(up)
+    def le(self) -> frozenset[Pair]:
+        """The relation as (lower, upper) name pairs, reflexive pairs included."""
+        elems = self.elements
+        return frozenset(
+            (elems[i], elems[j]) for i, u in enumerate(self.up_masks) for j in bits(u)
+        )
 
     @cached_property
     def _mask_index(self) -> tuple[dict[int, int], dict[int, int]]:
         """Each element's index keyed by its down-set mask, and keyed by its
         up-set mask; both are unique by antisymmetry."""
-        down, up = self._masks
         return (
-            {m: i for i, m in enumerate(down)},
-            {m: i for i, m in enumerate(up)},
+            {m: i for i, m in enumerate(self.down_masks)},
+            {m: i for i, m in enumerate(self.up_masks)},
         )
 
     @cached_property
     def _extension(self) -> tuple[int, ...]:
         """Element indices along linear_extension()."""
-        return tuple(self.index[x] for x in self.linear_extension())
+        down = self.down_masks
+        return tuple(sorted(range(len(down)), key=lambda i: (down[i].bit_count(), i)))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -76,40 +93,57 @@ class Poset:
     def __contains__(self, x: str) -> bool:
         return x in self.index
 
+    def mask(self, xs: Iterable[str]) -> int:
+        """The bitmask of the elements `xs`."""
+        idx = self.index
+        m = 0
+        for x in xs:
+            m |= 1 << idx[x]
+        return m
+
+    def members(self, mask: int) -> tuple[str, ...]:
+        """The elements whose bits are set in `mask`, in element order."""
+        return tuple(self.elements[i] for i in bits(mask))
+
     def leq(self, x: str, y: str) -> bool:
-        return (x, y) in self.le
+        idx = self.index
+        try:
+            return self.up_masks[idx[x]] >> idx[y] & 1 == 1
+        except KeyError:
+            return False
 
     def strictly_below(self, x: str, y: str) -> bool:
-        return x != y and (x, y) in self.le
+        return x != y and self.leq(x, y)
 
     def comparable(self, x: str, y: str) -> bool:
-        return (x, y) in self.le or (y, x) in self.le
+        return self.leq(x, y) or self.leq(y, x)
+
+    def _union(self, masks: tuple[int, ...], xs: Iterable[str]) -> frozenset[str]:
+        m = 0
+        for x in xs:
+            m |= masks[self.index[x]]
+        return frozenset(self.members(m))
 
     def down_of(self, xs: Iterable[str]) -> frozenset[str]:
-        out: set[str] = set()
-        for x in xs:
-            out |= self._down[x]
-        return frozenset(out)
+        return self._union(self.down_masks, xs)
 
     def up_of(self, xs: Iterable[str]) -> frozenset[str]:
-        out: set[str] = set()
-        for x in xs:
-            out |= self._up[x]
-        return frozenset(out)
+        return self._union(self.up_masks, xs)
 
     def interval(self, x: str, y: str) -> frozenset[str]:
-        return self._up[x] & self._down[y]
+        idx = self.index
+        return frozenset(self.members(self.up_masks[idx[x]] & self.down_masks[idx[y]]))
 
     def minimals(self) -> tuple[str, ...]:
-        return tuple(x for x in self.elements if self._down[x] == frozenset({x}))
+        return tuple(x for i, x in enumerate(self.elements) if self.down_masks[i] == 1 << i)
 
     def maximals(self) -> tuple[str, ...]:
-        return tuple(x for x in self.elements if self._up[x] == frozenset({x}))
+        return tuple(x for i, x in enumerate(self.elements) if self.up_masks[i] == 1 << i)
 
     def _bound(self, xs: Iterable[str], side: int) -> str | None:
         """The point whose down-set (side 0) or up-set (side 1) is the
         common one of `xs`: their meet or join, if it exists."""
-        masks = self._masks[side]
+        masks = (self.down_masks, self.up_masks)[side]
         common = (1 << len(self.elements)) - 1
         for x in xs:
             common &= masks[self.index[x]]
@@ -133,38 +167,81 @@ class Poset:
         return self.meet(())
 
     def covers(self) -> tuple[Pair, ...]:
-        """Cover pairs (a, b) with a < b and nothing strictly between."""
+        """Cover pairs (a, b) with a < b and nothing strictly between, by
+        index of a, then of b.
+
+        b covers a when the only point of a's strict up-set below b is b.
+        A point b above a rules out every point above b, so those are not
+        tested.
+        """
+        elems = self.elements
+        up, down = self.up_masks, self.down_masks
         out = []
-        for a in self.elements:
-            for b in self.elements:
-                if a == b or not self.leq(a, b):
-                    continue
-                between = self._up[a] & self._down[b] - {a, b}
-                if not between:
-                    out.append((a, b))
-        out.sort(key=lambda p: (self.index[p[0]], self.index[p[1]]))
+        for a, u in enumerate(up):
+            strict = u ^ 1 << a
+            rest = strict
+            while rest:
+                low = rest & -rest
+                b = low.bit_length() - 1
+                if down[b] & strict == low:
+                    out.append((elems[a], elems[b]))
+                rest &= ~up[b]
         return tuple(out)
 
     def dual(self) -> "Poset":
-        return Poset(self.elements, frozenset((b, a) for a, b in self.le))
+        return Poset(self.elements, self.down_masks)
 
     def restrict(self, keep: Iterable[str]) -> "Poset":
         """Induced subposet; element order is inherited from this poset."""
         keep_set = set(keep)
-        unknown = keep_set - set(self.elements)
+        idx = self.index
+        unknown = [x for x in keep_set if x not in idx]
         if unknown:
             raise ValidationError(
                 f"unknown element {min(unknown)!r}", witness=min(unknown)
             )
-        elems = tuple(x for x in self.elements if x in keep_set)
-        le = frozenset((a, b) for a, b in self.le if a in keep_set and b in keep_set)
-        return Poset(elems, le)
+        kept = sorted(idx[x] for x in keep_set)
+        new_bit = {1 << i: 1 << k for k, i in enumerate(kept)}
+        keep_mask = sum(new_bit)
+        up = []
+        for i in kept:
+            m = self.up_masks[i] & keep_mask
+            u = 0
+            while m:
+                low = m & -m
+                m ^= low
+                u |= new_bit[low]
+            up.append(u)
+        return Poset(tuple(self.elements[i] for i in kept), tuple(up))
 
     def linear_extension(self) -> tuple[str, ...]:
         """Canonical linear extension: by downset size, then input order."""
-        return tuple(
-            sorted(self.elements, key=lambda x: (len(self._down[x]), self.index[x]))
-        )
+        return tuple(self.elements[i] for i in self._extension)
+
+
+def order_violation(
+    p: Poset, image: Sequence[int], targets: Sequence[int]
+) -> Pair | None:
+    """The first pair x <= y of p, by index of x, then of y, whose images
+    break the order `targets`: bit image[y] missing from targets[image[x]].
+
+    With targets the codomain's up-masks that is a monotonicity failure;
+    with p's own down-masks and an involution as image, an antitonicity
+    failure.
+    """
+    for i, u in enumerate(p.up_masks):
+        allowed = targets[image[i]]
+        for j in bits(u):
+            if not allowed >> image[j] & 1:
+                return p.elements[i], p.elements[j]
+    return None
+
+
+def antitone_violation(p: Poset, sigma: dict[str, str]) -> Pair | None:
+    """The first pair a <= b of p, in element order, with sigma(b) <= sigma(a)
+    failing; None when sigma reverses the order."""
+    image = [p.index[sigma[x]] for x in p.elements]
+    return order_violation(p, image, p.down_masks)
 
 
 @dataclass(frozen=True)
@@ -194,11 +271,13 @@ class MonotoneMap:
         for v in f.values():
             if v not in self.cod:
                 raise ValidationError(f"image element {v!r} not in codomain", v)
-        for x, y in self.dom.le:
-            if not self.cod.leq(f[x], f[y]):
-                raise ValidationError(
-                    f"monotonicity fails on {x!r} <= {y!r}", witness=(x, y)
-                )
+        image = [self.cod.index[f[x]] for x in self.dom.elements]
+        bad = order_violation(self.dom, image, self.cod.up_masks)
+        if bad is not None:
+            x, y = bad
+            raise ValidationError(
+                f"monotonicity fails on {x!r} <= {y!r}", witness=(x, y)
+            )
 
 
 def make_monotone_map(dom: Poset, cod: Poset, mapping: dict[str, str]) -> MonotoneMap:
@@ -232,6 +311,11 @@ def validate_poset(
     mode "covers": reflexive-transitive closure is computed, then
     antisymmetry is checked.  mode "le": the relation is taken as given
     (reflexive pairs may be omitted) and transitivity gaps are errors.
+
+    Closure runs in reverse topological order (Kahn's sort): each point's
+    up-mask is its own bit or'ed with its successors' up-masks.  A cycle
+    stops the sort, and only then is the relation closed by repeated
+    passes to name its witness.
     """
     if mode not in ("covers", "le"):
         raise ValidationError(f"unknown closure mode {mode!r}")
@@ -247,45 +331,80 @@ def validate_poset(
             bad = a if a not in position else b
             raise ValidationError(f"dangling pair ({a!r}, {b!r})", witness=bad)
 
-    succ: dict[str, set[str]] = {x: {x} for x in elems}
+    n = len(elems)
+    succ = [0] * n  # strict successors, self-loops and repeats dropped
     for a, b in pair_list:
-        succ[a].add(b)
+        i, j = position[a], position[b]
+        if i != j:
+            succ[i] |= 1 << j
+    up = [s | 1 << i for i, s in enumerate(succ)]
 
-    if mode == "covers":
-        changed = True
-        while changed:
-            changed = False
-            for x in elems:
-                extra = set()
-                for y in succ[x]:
-                    extra |= succ[y]
-                if not extra <= succ[x]:
-                    succ[x] |= extra
-                    changed = True
-    else:
-        for x in elems:
-            gaps = [y for y in succ[x] if not succ[y] <= succ[x]]
-            if gaps:
-                # witnesses are taken in element order, not set order
-                y = min(gaps, key=position.__getitem__)
-                z = min(succ[y] - succ[x])
-                raise ValidationError(
-                    f"transitivity gap: {x!r} <= {y!r} <= {z!r} "
-                    f"but ({x!r}, {z!r}) missing",
-                    witness=(x, y, z),
+    if mode == "le":
+        for i, u in enumerate(up):
+            for j in bits(u):
+                extra = up[j] & ~u
+                if extra:
+                    # witnesses are taken in element order, z by name
+                    x, y = elems[i], elems[j]
+                    z = min(elems[k] for k in bits(extra))
+                    raise ValidationError(
+                        f"transitivity gap: {x!r} <= {y!r} <= {z!r} "
+                        f"but ({x!r}, {z!r}) missing",
+                        witness=(x, y, z),
+                    )
+        # a transitive relation is antisymmetric iff its up-sets differ
+        if len(set(up)) < n:
+            raise _cycle_error(elems, up)
+        return Poset(elems, tuple(up))
+
+    indegree = [0] * n
+    for s in succ:
+        for j in bits(s):
+            indegree[j] += 1
+    order = [i for i in range(n) if not indegree[i]]
+    for i in order:  # grows while it is read
+        for j in bits(succ[i]):
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) < n:
+        _close(up)
+        raise _cycle_error(elems, up)
+    for i in reversed(order):
+        u = up[i]
+        for j in bits(succ[i]):
+            u |= up[j]
+        up[i] = u
+    return Poset(elems, tuple(up))
+
+
+def _close(up: list[int]) -> None:
+    """Transitive closure in place by passes until nothing changes: each
+    pass at least doubles the path lengths it accounts for."""
+    changed = True
+    while changed:
+        changed = False
+        for i, u in enumerate(up):
+            v = u
+            for j in bits(u):
+                v |= up[j]
+            if v != u:
+                up[i] = v
+                changed = True
+
+
+def _cycle_error(elems: tuple[str, ...], up: list[int]) -> ValidationError:
+    """The error for the first x, then the first y, in element order, with
+    x < y < x in the closed relation `up`, which must have such a pair."""
+    for i, u in enumerate(up):
+        for j in bits(u ^ 1 << i):
+            if up[j] >> i & 1:
+                x, y = elems[i], elems[j]
+                return ValidationError(
+                    f"antisymmetry violation: cycle through {x!r} and {y!r}",
+                    witness=(x, y),
                 )
-
-    for x in elems:
-        cycle = [y for y in succ[x] if x != y and x in succ[y]]
-        if cycle:
-            y = min(cycle, key=position.__getitem__)
-            raise ValidationError(
-                f"antisymmetry violation: cycle through {x!r} and {y!r}",
-                witness=(x, y),
-            )
-
-    le = frozenset((x, y) for x in elems for y in succ[x])
-    return Poset(elems, le)
+    raise AssertionError("no cycle in the relation")
 
 
 @dataclass(frozen=True)
@@ -303,7 +422,7 @@ def lattice_report(p: Poset) -> LatticeReport:
     """
     if not p.elements:
         return LatticeReport(False, False, None)
-    down, up = p._masks
+    down, up = p.down_masks, p.up_masks
     by_down, by_up = p._mask_index
     witness = None
     is_meet = True
@@ -331,7 +450,7 @@ def is_three_complete(p: Poset) -> tuple[bool, frozenset[str] | None]:
     """
     elems = p.elements
     n = len(elems)
-    up = p._masks[1]
+    up = p.up_masks
     by_up = p._mask_index[1]
     # bnd[i]: the points that share an upper bound with i
     bnd = [sum(1 << j for j in range(n) if u & up[j]) for u in up]
@@ -385,20 +504,20 @@ def _transitive_masks(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _poset_from_mask(succ: tuple[int, ...]) -> Poset:
-    n = len(succ)
-    elems = tuple(str(i) for i in range(n))
-    le = set()
-    for i in range(n):
-        le.add((elems[i], elems[i]))
-        for j in range(n):
-            if succ[i] >> j & 1:
-                le.add((elems[i], elems[j]))
-    return Poset(elems, frozenset(le))
+    return Poset(
+        tuple(str(i) for i in range(len(succ))),
+        tuple(s | 1 << i for i, s in enumerate(succ)),
+    )
+
+
+def _degrees(p: Poset) -> list[tuple[int, int]]:
+    """Each point's down-set and up-set size, in element order."""
+    return [(d.bit_count(), u.bit_count()) for d, u in zip(p.down_masks, p.up_masks)]
 
 
 def _iso_signature(p: Poset):
-    degs = sorted((len(p._down[x]), len(p._up[x])) for x in p.elements)
-    return len(p.elements), len(p.le), tuple(degs)
+    degs = _degrees(p)
+    return len(degs), sum(u for _, u in degs), tuple(sorted(degs))
 
 
 def enumerate_posets_upto(k: int) -> Iterator[Poset]:
@@ -440,9 +559,9 @@ def search_maps(
     """
     ext = dom._extension
     n = len(ext)
-    down, up = dom._masks
+    down, up = dom.down_masks, dom.up_masks
     values = cod.elements
-    cdown, cup = cod._masks
+    cdown, cup = cod.down_masks, cod.up_masks
     cand = [(1 << len(values)) - 1] * n
     if allowed is not None:
         for x, vs in allowed.items():
@@ -532,24 +651,20 @@ def find_isomorphism(
     isomorphism must also commute with them.  Backtracking with
     degree-level invariants; deterministic first result.
     """
-    if len(p.elements) != len(q.elements) or len(p.le) != len(q.le):
+    if len(p.elements) != len(q.elements):
         return None
-
-    def inv_p(x: str):
-        base = (len(p._down[x]), len(p._up[x]))
-        return base + ((op_p[x] == x,) if op_p else ())
-
-    def inv_q(u: str):
-        base = (len(q._down[u]), len(q._up[u]))
-        return base + ((op_q[u] == u,) if op_q else ())
-
-    if sorted(map(inv_p, p.elements)) != sorted(map(inv_q, q.elements)):
+    deg_p, deg_q = _degrees(p), _degrees(q)
+    if sum(u for _, u in deg_p) != sum(u for _, u in deg_q):
+        return None
+    inv_p = [d + ((op_p[x] == x,) if op_p else ()) for d, x in zip(deg_p, p.elements)]
+    inv_q = [d + ((op_q[u] == u,) if op_q else ()) for d, u in zip(deg_q, q.elements)]
+    if sorted(inv_p) != sorted(inv_q):
         return None
     # with equally many pairs, an injective monotone map is an isomorphism
     matches: dict[object, list[str]] = {}
-    for u in q.elements:
-        matches.setdefault(inv_q(u), []).append(u)
-    allowed = {x: matches[inv_p(x)] for x in p.elements}
+    for key, u in zip(inv_q, q.elements):
+        matches.setdefault(key, []).append(u)
+    allowed = {x: matches[key] for key, x in zip(inv_p, p.elements)}
     return next(search_maps(p, q, allowed, op_p, op_q, injective=True), None)
 
 

@@ -49,21 +49,23 @@ def self_below_subposet(p: InvPoset) -> Poset:
 
 
 def check_m2(p: InvPoset) -> tuple[bool, str | None]:
-    fixed = set(p.fixed_points)
+    base = p.base
+    fixed = base.mask(p.fixed_points)
     for x in p.self_below_inv():
-        if not any(y in fixed for y in p.base.up_of([x])):
+        if not base.up_masks[base.index[x]] & fixed:
             return False, x
     return True, None
 
 
 def check_k2(p: InvPoset) -> tuple[bool, tuple[str, str] | None]:
     base = p.base
-    candidates = [z for z in p.elements if base.leq(z, p.i(z))]
-    for x, y in combinations_with_replacement(p.self_below_inv(), 2):
+    up, idx = base.up_masks, base.index
+    self_below = p.self_below_inv()
+    candidates = base.mask(self_below)
+    for x, y in combinations_with_replacement(self_below, 2):
         if not (base.leq(x, p.i(y)) and base.leq(y, p.i(x))):
             continue
-        ups = base.up_of([x]) & base.up_of([y])
-        if not any(z in ups for z in candidates):
+        if not up[idx[x]] & up[idx[y]] & candidates:
             return False, (x, y)
     return True, None
 
@@ -173,29 +175,41 @@ def canonical_embedding(
     With prune=True, coordinates that are redundant for the contract are
     greedily dropped (first coordinate kept), shrinking oracle searches.
     """
+    columns = _columns(p, prune)
+    # the ambient power is materialized; 4^7 points is already past desk
+    # scale, so refuse rather than thrash
+    if len(columns) > 6:
+        raise SizeGuardError(
+            f"embedding ambient D^{len(columns)} too large; prune or shrink the input"
+        )
+    return _embed(p, columns)
+
+
+def oracle_embedding(p: InvPoset) -> tuple[int, InvMorphism]:
+    """`canonical_embedding(p, prune=True)`, refused by the oracle's
+    dimension guard before its ambient power of DIAMOND is built."""
+    columns = _columns(p, prune=True)
+    _oracle_guard(len(columns))
+    return _embed(p, columns)
+
+
+def _columns(p: InvPoset, prune: bool) -> list[dict[str, str]]:
+    """The embedding's coordinate columns, each a map point -> digit."""
     if not p.elements:
         raise PreconditionError("cannot embed the empty involutive poset")
     columns = []
     for q in p.elements:
-        down = p.base._down[q]
+        down = p.base.down_of([q])
         columns.append({x: _coordinate(p, down, x) for x in p.elements})
-
-    def guard(dim: int) -> None:
-        # the ambient power is materialized; 4^7 points is already past
-        # desk scale, so refuse rather than thrash
-        if dim > 6:
-            raise SizeGuardError(
-                f"embedding ambient D^{dim} too large; prune or shrink the input"
-            )
-
     if prune:
         # every pair x !<= y needs a column that separates it; injectivity
         # then follows by antisymmetry
+        d_le = DIAMOND.base.le
         separating = [
             sum(
                 1 << k
                 for k, c in enumerate(columns)
-                if not DIAMOND.base.leq(c[x], c[y])
+                if (c[x], c[y]) not in d_le
             )
             for x in p.elements
             for y in p.elements
@@ -209,9 +223,11 @@ def canonical_embedding(
             if all(s & trial for s in separating):
                 kept = trial
         columns = [c for k, c in enumerate(columns) if kept >> k & 1]
+    return columns
 
+
+def _embed(p: InvPoset, columns: list[dict[str, str]]) -> tuple[int, InvMorphism]:
     n = len(columns)
-    guard(n)
     target = power(DIAMOND, n)
     vectors = {x: "".join(c[x] for c in columns) for x in p.elements}
     return n, _check_embedding(p, target, vectors)
@@ -256,11 +272,15 @@ def build_retraction(
     image = _restriction_to_image(p, e)
     base = p.base
 
+    idx, image_mask = dom.base.index, dom.base.mask(image)
+
     def originals_below(v: str) -> list[str]:
-        return [image[w] for w in dom.base._down[v] if w in image]
+        below = dom.base.down_masks[idx[v]] & image_mask
+        return [image[w] for w in dom.base.members(below)]
 
     def originals_above(v: str) -> list[str]:
-        return [image[w] for w in dom.base._up[v] if w in image]
+        above = dom.base.up_masks[idx[v]] & image_mask
+        return [image[w] for w in dom.base.members(above)]
 
     def fixed_between(lo: str | None, hi: str | None) -> str:
         for y in p.fixed_points:
@@ -327,15 +347,20 @@ def oracle_retraction_search(
     if variety not in ("demorgan", "kleene"):
         raise PreconditionError("oracle supports demorgan and kleene")
     if embedding is None:
-        if len(p.elements) > 4:
-            raise SizeGuardError(f"oracle guard: {len(p.elements)} elements exceed 4")
+        _oracle_guard(len(p.elements))  # the unpruned dimension
         embedding = canonical_embedding(p)
     n, e = embedding
-    if n > 4:
-        raise SizeGuardError(f"oracle guard: embedding dimension {n} exceeds 4")
+    _oracle_guard(n)
     dom = _ambient(e, n, variety)
     forced = {
         v: (x,) for v, x in _restriction_to_image(p, e).items() if v in dom.base
     }
     f = next(search_maps(dom.base, p.base, forced, dom.inv, p.inv), None)
     return None if f is None else make_inv_morphism(dom, p, f)
+
+
+def _oracle_guard(n: int) -> None:
+    # the search is exhaustive over the 4^n points of the ambient, so the
+    # oracle is kept to the small instances it cross-checks
+    if n > 4:
+        raise SizeGuardError(f"oracle guard: embedding dimension {n} exceeds 4")

@@ -27,6 +27,7 @@ from .involutive import (
 from .order import (
     MonotoneMap,
     Poset,
+    bits,
     enumerate_monotone_maps,
     enumerate_posets_upto,
     identity_map,
@@ -115,35 +116,37 @@ def kleene_core(q: InvPoset) -> InvPoset:
     if not q.is_kleene:
         raise PreconditionError("kleene_core needs a Kleene object")
     base = q.base
-    fixed = set(q.fixed_points)
-    carrier = [
-        x
-        for x in q.elements
-        if any(base.leq(x, z) or base.leq(z, x) for z in fixed)
-    ]
-    inside = set(carrier)
-
-    def keep(x: str, y: str) -> bool:
-        if base.leq(x, q.i(x)) and base.leq(y, q.i(y)):
-            return True
-        if base.leq(q.i(x), x) and base.leq(q.i(y), y):
-            return True
-        return any(base.leq(x, z) and base.leq(z, y) for z in fixed)
-
-    le = {
-        (x, y)
-        for x, y in base.le
-        if x in inside and y in inside and keep(x, y)
-    }
-    for x, y in list(le):
-        for z in carrier:
-            if (y, z) in le and (x, z) not in le:
+    down, up = base.down_masks, base.up_masks
+    mate = [base.index[q.i(x)] for x in q.elements]
+    fixed = sum(1 << i for i, j in enumerate(mate) if i == j)
+    below = sum(1 << i for i, j in enumerate(mate) if up[i] >> j & 1)
+    above = sum(1 << i for i, j in enumerate(mate) if up[j] >> i & 1)
+    inside = sum(1 << i for i, (d, u) in enumerate(zip(down, up)) if (d | u) & fixed)
+    # kept[i]: the points y >= x = elements[i] that the three clauses keep
+    kept = [1 << i for i in range(len(up))]
+    for i in bits(inside):
+        u = up[i] & inside
+        k = 0
+        if below >> i & 1:
+            k |= u & below
+        if above >> i & 1:
+            k |= u & above
+        for z in bits(up[i] & fixed):
+            k |= up[z] & inside
+        kept[i] = k
+    names = q.elements
+    for i in bits(inside):
+        for j in bits(kept[i]):
+            extra = kept[j] & ~kept[i]
+            if extra:
+                x, y, z = names[i], names[j], names[(extra & -extra).bit_length() - 1]
                 raise ValidationError(
                     "kleene core clauses not transitive (unexpected on a "
                     f"Kleene object): {x!r} <= {y!r} <= {z!r}",
                     witness=(x, y, z),
                 )
-    core_base = Poset(tuple(x for x in q.elements if x in inside), frozenset(le))
+    carrier = base.members(inside)
+    core_base = Poset(names, tuple(kept)).restrict(carrier)
     return validate_involutive(core_base, {x: q.i(x) for x in carrier})
 
 
@@ -359,7 +362,7 @@ def _pattern_env(struct, family: str) -> tuple[Pattern, Poset, dict[str, int]]:
     base = struct.base if isinstance(struct, InvPoset) else struct
     kinds = {ANY: (1 << len(base.elements)) - 1}
     if isinstance(struct, InvPoset):
-        up = base._masks[1]
+        up = base.up_masks
         mate = [base.index[struct.i(x)] for x in base.elements]
         kinds[FIXED] = sum(1 << i for i, j in enumerate(mate) if i == j)
         kinds[SELF_BELOW] = sum(1 << i for i, j in enumerate(mate) if up[i] >> j & 1)
@@ -369,7 +372,7 @@ def _pattern_env(struct, family: str) -> tuple[Pattern, Poset, dict[str, int]]:
 
 
 def _clause_holds(pat: Pattern, base: Poset, kinds: dict[str, int], at: dict[str, int]) -> bool:
-    down, up = base._masks
+    down, up = base.down_masks, base.up_masks
     kind, lows, highs = pat.clause
     between = kinds[kind]
     for t in lows:
@@ -379,18 +382,11 @@ def _clause_holds(pat: Pattern, base: Poset, kinds: dict[str, int], at: dict[str
     return not between
 
 
-def _bits(m: int) -> Iterator[int]:
-    while m:
-        low = m & -m
-        m ^= low
-        yield low.bit_length() - 1
-
-
 def find_null_pattern(struct, family: str) -> dict[str, str] | None:
     """First anchor tuple, in certificate order, satisfying the family's
     clauses; None when the exhaustive search comes up empty."""
     pat, base, kinds = _pattern_env(struct, family)
-    down, up = base._masks
+    down, up = base.down_masks, base.up_masks
     names = base.elements
     # a point is allowed for an anchor when it has the anchor's kind and
     # every upper cover of the anchor has an allowed point above it
@@ -400,11 +396,11 @@ def find_null_pattern(struct, family: str) -> dict[str, str] | None:
         for lo, hi in pat.covers.split():
             if lo == t:
                 room = 0
-                for j in _bits(allowed[hi]):
+                for j in bits(allowed[hi]):
                     room |= down[j]
                 m &= room
         allowed[t] = m
-    options = {t: [names[i] for i in _bits(allowed[t])] for t in pat.shape.elements}
+    options = {t: [names[i] for i in bits(allowed[t])] for t in pat.shape.elements}
     tops = [
         (t, [lo for lo, hi in pat.covers.split() if hi == t])
         for t in pat.anchors[pat.core :]

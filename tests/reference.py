@@ -8,7 +8,9 @@ is the plain form of the embedding's column pruning, and the null-pattern
 finder and verifier state each nullarity family clause by clause.  The
 scanning joins and meets, the depth-first 3-completeness walk, the
 all-pairs product and the triple-wise m3 check are the forms the order
-kernels replaced.
+kernels replaced, as are the closure by repeated set passes, the
+cover extraction by set intersection and the pair-set Kleene core that
+the up-mask kernel replaced.
 """
 
 import functools
@@ -78,7 +80,7 @@ def _boolean_cube(n: int) -> Poset:
         for b in elems
         if all(ca <= cb for ca, cb in zip(a, b))
     )
-    return Poset(tuple(elems), le)
+    return Poset.from_pairs(elems, le)
 
 
 def oracle_poset_retraction(p: Poset, embedding: tuple[int, MonotoneMap]) -> MonotoneMap | None:
@@ -297,7 +299,7 @@ def pairwise_product(p: InvPoset, q: InvPoset, sep: str = "") -> InvPoset:
         if p.base.leq(a, c) and q.base.leq(b, d)
     )
     inv = {x: p.i(a) + sep + q.i(b) for x, (a, b) in names.items()}
-    return make_invposet(Poset(tuple(names), le), inv)
+    return make_invposet(Poset.from_pairs(names, le), inv)
 
 
 def pairwise_power(p: InvPoset, n: int) -> InvPoset:
@@ -324,3 +326,99 @@ def m3_fast_path(p: InvPoset) -> bool:
         if good(x, y) and good(x, z) and good(y, z) and not good(x, y, z):
             return False
     return True
+
+
+def reference_validate_poset(elements, pairs, mode: str = "covers"):
+    """`validate_poset` by repeated set passes: the elements and the
+    reflexive-transitively closed relation as name pairs, or the same
+    ValidationError.  Witnesses are taken in element order, z by name."""
+    if mode not in ("covers", "le"):
+        raise ValidationError(f"unknown closure mode {mode!r}")
+    elems = tuple(elements)
+    position: dict[str, int] = {}
+    for x in elems:
+        if x in position:
+            raise ValidationError(f"duplicate element {x!r}", witness=x)
+        position[x] = len(position)
+    pair_list = list(pairs)
+    for a, b in pair_list:
+        if a not in position or b not in position:
+            bad = a if a not in position else b
+            raise ValidationError(f"dangling pair ({a!r}, {b!r})", witness=bad)
+
+    succ: dict[str, set[str]] = {x: {x} for x in elems}
+    for a, b in pair_list:
+        succ[a].add(b)
+
+    if mode == "covers":
+        changed = True
+        while changed:
+            changed = False
+            for x in elems:
+                extra = set()
+                for y in succ[x]:
+                    extra |= succ[y]
+                if not extra <= succ[x]:
+                    succ[x] |= extra
+                    changed = True
+    else:
+        for x in elems:
+            gaps = [y for y in succ[x] if not succ[y] <= succ[x]]
+            if gaps:
+                y = min(gaps, key=position.__getitem__)
+                z = min(succ[y] - succ[x])
+                raise ValidationError(
+                    f"transitivity gap: {x!r} <= {y!r} <= {z!r} "
+                    f"but ({x!r}, {z!r}) missing",
+                    witness=(x, y, z),
+                )
+
+    for x in elems:
+        cycle = [y for y in succ[x] if x != y and x in succ[y]]
+        if cycle:
+            y = min(cycle, key=position.__getitem__)
+            raise ValidationError(
+                f"antisymmetry violation: cycle through {x!r} and {y!r}",
+                witness=(x, y),
+            )
+    return elems, frozenset((x, y) for x in elems for y in succ[x])
+
+
+def reference_covers(elements, le) -> tuple[tuple[str, str], ...]:
+    """Cover pairs of a closed relation, by index of the lower point, then
+    of the upper: a < b with nothing in up(a) & down(b) but a and b."""
+    index = {x: i for i, x in enumerate(elements)}
+    up = {x: frozenset(b for a, b in le if a == x) for x in elements}
+    down = {x: frozenset(a for a, b in le if b == x) for x in elements}
+    out = []
+    for a in elements:
+        for b in elements:
+            if a == b or (a, b) not in le:
+                continue
+            if not up[a] & down[b] - {a, b}:
+                out.append((a, b))
+    out.sort(key=lambda p: (index[p[0]], index[p[1]]))
+    return tuple(out)
+
+
+def reference_kleene_core_order(q: InvPoset):
+    """The carrier and order of `kleene_core(q)` from its three clauses,
+    pair by pair: x <= y is kept when both sit below their involutes,
+    both sit above them, or a fixed point lies between."""
+    base = q.base
+    fixed = set(q.fixed_points)
+    carrier = tuple(
+        x for x in q.elements if any(base.leq(x, z) or base.leq(z, x) for z in fixed)
+    )
+
+    def keep(x: str, y: str) -> bool:
+        if base.leq(x, q.i(x)) and base.leq(y, q.i(y)):
+            return True
+        if base.leq(q.i(x), x) and base.leq(q.i(y), y):
+            return True
+        return any(base.leq(x, z) and base.leq(z, y) for z in fixed)
+
+    le = frozenset(
+        (x, y) for x in carrier for y in carrier if base.leq(x, y) and keep(x, y)
+    )
+    return carrier, le

@@ -201,6 +201,27 @@ class TestOtherCommands:
         assert code == PINNED_ORACLE[case]["exit"]
         assert json.loads(out) == PINNED_ORACLE[case]["stdout"]
 
+    def test_oracle_guard_comes_before_the_ambient(self, data_dir, cli, monkeypatch):
+        # k2_pattern's pruned embedding has dimension 6; D^6 has 4096 points
+        from morgan_unify import involutive, projectivity
+
+        built = []
+
+        def power(p, n, sep=""):
+            built.append(n)
+            assert n <= 4, f"power(_, {n}) built past the oracle's guard"
+            return involutive.power(p, n, sep)
+
+        monkeypatch.setattr(projectivity, "power", power)
+        code, out = cli(
+            ["oracle", str(data_dir / "k2_pattern.json"), "--check", "retraction"]
+        )
+        assert code == 4
+        assert json.loads(out) == {
+            "error": "oracle guard: embedding dimension 6 exceeds 4"
+        }
+        assert built == []
+
     def test_oracle_unifier_count(self, data_dir, cli):
         code, out = cli(
             ["oracle", str(data_dir / "antichain2.json"), "--check", "unifiers",

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morgan_unify import (
     DIAMOND,
@@ -17,11 +18,14 @@ from morgan_unify import (
     power,
     validate_poset,
 )
+from morgan_unify.documents import structure_document
 from morgan_unify.order import POSET_CLASS_COUNTS, Poset, make_monotone_map
 
 from reference import (
     dfs_is_three_complete,
     ordered_brute_force,
+    reference_covers,
+    reference_validate_poset,
     scan_join,
     scan_meet,
     upper_bounds,
@@ -67,6 +71,95 @@ class TestValidate:
         )
         assert p.leq("a", "c")
 
+    def test_long_chain_within_small_recursion_limit(self):
+        names = [f"c{i:04d}" for i in range(3000)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            chain = validate_poset(names, list(zip(names, names[1:])))
+            doc = structure_document(chain)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert doc["covers"] == [[a, b] for a, b in zip(names, names[1:])]
+        assert chain.leq(names[0], names[-1]) and not chain.leq(names[-1], names[0])
+
+
+@st.composite
+def raw_relations(draw, max_size=8):
+    """Elements and pairs as a document could give them: self-loops,
+    repeated pairs and cycles included, names not in element order, and
+    now and then a repeated element or a dangling pair."""
+    n = draw(st.integers(min_value=0, max_value=max_size))
+    names = draw(st.permutations([f"e{i}" for i in range(n)]))
+    elems = list(names)
+    if n and draw(st.integers(0, 19)) == 0:
+        elems.append(draw(st.sampled_from(names)))
+    targets = names + (["zz"] if draw(st.integers(0, 19)) == 0 else [])
+    if not targets:
+        return elems, []
+    pairs = draw(
+        st.lists(st.tuples(st.sampled_from(targets), st.sampled_from(targets)),
+                 max_size=3 * max_size)
+    )
+    if draw(st.booleans()):
+        # along a drawn order, so that the relation can be acyclic while
+        # the element order is no linear extension of it
+        rank = {x: i for i, x in enumerate(draw(st.permutations(names)))}
+        rank["zz"] = n
+        pairs = [tuple(sorted(p, key=rank.__getitem__)) for p in pairs]
+    return elems, pairs
+
+
+def outcome_of(build):
+    try:
+        return build(), None
+    except ValidationError as exc:
+        return None, (str(exc), exc.witness)
+
+
+def assert_matches_reference(elements, pairs, mode):
+    p, error = outcome_of(lambda: validate_poset(elements, pairs, mode))
+    ref, ref_error = outcome_of(lambda: reference_validate_poset(elements, pairs, mode))
+    assert error == ref_error
+    if ref is None:
+        return
+    elems, le = ref
+    assert p.elements == elems
+    assert p.le == le
+    assert all(p.leq(x, y) == ((x, y) in le) for x in elems for y in elems)
+    assert p.covers() == reference_covers(elems, le)
+
+
+class TestValidateAgainstReference:
+    def test_every_poset_upto_6(self, posets_upto_6):
+        for p in posets_upto_6:
+            elems, covers = p.elements, list(p.covers())
+            le = sorted(p.le)
+            cases = [
+                (elems, covers, "covers"),
+                (elems, covers, "le"),
+                (elems, le, "le"),
+                (tuple(reversed(elems)), list(reversed(covers)), "covers"),
+            ]
+            if covers:
+                # one cover reversed: a cycle in either mode
+                cases += [
+                    (elems, covers + [covers[0][::-1]], "covers"),
+                    (elems, le + [covers[-1][::-1]], "le"),
+                ]
+            for elements, pairs, mode in cases:
+                assert_matches_reference(elements, pairs, mode)
+
+    @given(raw_relations(), st.sampled_from(["covers", "le"]))
+    @settings(max_examples=300)
+    def test_random_relations(self, relation, mode):
+        elements, pairs = relation
+        assert_matches_reference(elements, pairs, mode)
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValidationError, match="unknown closure mode"):
+            validate_poset(["a"], [], mode="closure")
+
 
 class TestSubposet:
     def test_downset_of_zero(self):
@@ -83,6 +176,21 @@ class TestSubposet:
     def test_unknown_element(self):
         with pytest.raises(ValidationError, match="unknown"):
             d_poset().restrict(["nope"])
+
+    def test_names_outside_the_poset(self):
+        p = d_poset()
+        for x, y in (("nope", "3"), ("2", "nope"), ("nope", "nope")):
+            assert not p.leq(x, y)
+            assert not p.comparable(x, y)
+            assert not p.strictly_below(x, y)
+        for call in (
+            lambda: p.interval("nope", "3"),
+            lambda: p.interval("2", "nope"),
+            lambda: p.down_of(["0", "nope"]),
+            lambda: p.up_of(["nope"]),
+        ):
+            with pytest.raises(KeyError):
+                call()
 
 
 class TestBounds:
@@ -298,7 +406,7 @@ class TestIsomorphism:
         reps = list(enumerate_posets_upto(4))
         for p in reps:
             # relisting the elements changes the first isomorphism found
-            relisted = Poset(tuple(reversed(p.elements)), p.le)
+            relisted = Poset.from_pairs(reversed(p.elements), p.le)
             for q in reps:
                 assert find_isomorphism(p, q) == brute_isomorphism(p, q)
                 assert find_isomorphism(relisted, q) == brute_isomorphism(relisted, q)
@@ -306,7 +414,7 @@ class TestIsomorphism:
     def test_involutive_agrees_with_brute_force_small(self):
         reps = list(enumerate_invposets_upto(4))
         for iv in reps:
-            relisted = Poset(tuple(reversed(iv.elements)), iv.base.le)
+            relisted = Poset.from_pairs(reversed(iv.elements), iv.base.le)
             for r in reps:
                 for base in (iv.base, relisted):
                     assert find_isomorphism(
@@ -314,11 +422,8 @@ class TestIsomorphism:
                     ) == brute_isomorphism(base, r.base, iv.inv, r.inv)
 
     def test_deep_chain_within_small_recursion_limit(self):
-        # built directly: validating a 300-chain costs seconds
         names = tuple(f"c{i:03d}" for i in range(300))
-        chain = Poset(
-            names, frozenset((a, b) for i, a in enumerate(names) for b in names[i:])
-        )
+        chain = validate_poset(names, list(zip(names, names[1:])))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(200)
         try:

@@ -33,6 +33,7 @@ from reference import (
     NULL_PATTERN_SHAPES,
     ordered_brute_force,
     reference_find_null_pattern,
+    reference_kleene_core_order,
     reference_verify_null_pattern,
 )
 from strategies import invposets
@@ -85,6 +86,13 @@ class TestKleeneCore:
         assert set(core.elements) == set(q.elements)
         assert q.base.leq("x", "y") and not core.base.leq("x", "y")
         assert q.base.le - core.base.le == {("x", "y"), ("~y", "~x")}
+
+    def test_matches_pairwise_reference(self, invposets_upto_6, pattern_instances):
+        kleene = [iv for iv in invposets_upto_6 if iv.is_kleene]
+        kleene += [pattern_instances["k1"], pattern_instances["k2"]]
+        for iv in kleene:
+            core = kleene_core(iv)
+            assert (core.elements, core.base.le) == reference_kleene_core_order(iv)
 
     @given(invposets(max_size=4))
     @settings(max_examples=40)

@@ -170,10 +170,6 @@ def compose_inv(g: InvMorphism, f: InvMorphism) -> InvMorphism:
     return make_inv_morphism(f.dom, g.cod, {x: g(f(x)) for x in f.dom.elements})
 
 
-def identity_inv(p: InvPoset) -> InvMorphism:
-    return make_inv_morphism(p, p, {x: x for x in p.elements})
-
-
 def product(p: InvPoset, q: InvPoset, sep: str = "") -> InvPoset:
     """Product in FPM: pairwise order, coordinatewise involution.
 

@@ -292,13 +292,6 @@ def validate_monotone_map(
     return f
 
 
-def compose(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
-    """g after f; domains must chain."""
-    if f.cod != g.dom:
-        raise ValidationError("composition mismatch: cod(f) != dom(g)")
-    return make_monotone_map(f.dom, g.cod, {x: g(f(x)) for x in f.dom.elements})
-
-
 def identity_map(p: Poset) -> MonotoneMap:
     return make_monotone_map(p, p, {x: x for x in p.elements})
 

@@ -20,7 +20,7 @@ from .involutive import (
     make_inv_morphism,
     power,
 )
-from .order import Poset, is_three_complete, lattice_report, search_maps
+from .order import Poset, bits, is_three_complete, lattice_report, search_maps
 
 VARIETIES = ("bdl", "kleene", "demorgan")
 
@@ -125,24 +125,6 @@ def is_projective_dual(
     return report.m2 and report.m3 and report.k1 and report.k2, report
 
 
-def _coordinate(p: InvPoset, down: frozenset[str], x: str) -> str:
-    """DIAMOND coordinate of x for the principal downset `down`.
-
-    Encodes membership in the downset and in its De Morgan complement:
-    both -> "2", downset only -> "0", complement only -> "1", neither ->
-    "3".
-    """
-    in_x = x in down
-    in_neg = p.i(x) not in down
-    if in_x and in_neg:
-        return "2"
-    if in_x:
-        return "0"
-    if in_neg:
-        return "1"
-    return "3"
-
-
 def _check_embedding(p: InvPoset, target: InvPoset, vectors: dict[str, str]) -> InvMorphism:
     e = make_inv_morphism(p, target, vectors)
     e.check()
@@ -193,43 +175,51 @@ def oracle_embedding(p: InvPoset) -> tuple[int, InvMorphism]:
     return _embed(p, columns)
 
 
-def _columns(p: InvPoset, prune: bool) -> list[dict[str, str]]:
-    """The embedding's coordinate columns, each a map point -> digit."""
+def _columns(p: InvPoset, prune: bool) -> list[int]:
+    """The indices of the points q whose coordinates the embedding keeps."""
     if not p.elements:
         raise PreconditionError("cannot embed the empty involutive poset")
-    columns = []
-    for q in p.elements:
-        down = p.base.down_of([q])
-        columns.append({x: _coordinate(p, down, x) for x in p.elements})
-    if prune:
-        # every pair x !<= y needs a column that separates it; injectivity
-        # then follows by antisymmetry
-        d_le = DIAMOND.base.le
-        separating = [
-            sum(
-                1 << k
-                for k, c in enumerate(columns)
-                if (c[x], c[y]) not in d_le
-            )
-            for x in p.elements
-            for y in p.elements
-            if not p.base.leq(x, y)
-        ]
-        kept = (1 << len(columns)) - 1
-        for k in reversed(range(len(columns))):
-            if kept.bit_count() == 1:
-                break
-            trial = kept & ~(1 << k)
-            if all(s & trial for s in separating):
-                kept = trial
-        columns = [c for k, c in enumerate(columns) if kept >> k & 1]
-    return columns
+    n = len(p.elements)
+    if not prune:
+        return list(range(n))
+    up = p.base.up_masks
+    inv_up = _inv_up_masks(p)
+    # column q separates x !<= y when y <= q and x !<= q, or i(x) <= q
+    # and i(y) !<= q; every such pair needs a kept separating column, and
+    # injectivity then follows by antisymmetry
+    separating = [
+        (up[y] & ~up[x]) | (inv_up[x] & ~inv_up[y])
+        for x in range(n)
+        for y in range(n)
+        if not up[x] >> y & 1
+    ]
+    kept = (1 << n) - 1
+    for k in reversed(range(n)):
+        if kept.bit_count() == 1:
+            break
+        trial = kept & ~(1 << k)
+        if all(s & trial for s in separating):
+            kept = trial
+    return list(bits(kept))
 
 
-def _embed(p: InvPoset, columns: list[dict[str, str]]) -> tuple[int, InvMorphism]:
+def _inv_up_masks(p: InvPoset) -> list[int]:
+    """The up-mask of i(x) for each point x."""
+    base = p.base
+    return [base.up_masks[base.index[p.i(x)]] for x in p.elements]
+
+
+def _embed(p: InvPoset, columns: list[int]) -> tuple[int, InvMorphism]:
+    # the coordinate at q classifies x against the principal downset of
+    # q and its De Morgan complement: x <= q and i(x) !<= q -> "2", x <= q
+    # only -> "0", i(x) !<= q only -> "1", neither -> "3"
     n = len(columns)
     target = power(DIAMOND, n)
-    vectors = {x: "".join(c[x] for c in columns) for x in p.elements}
+    up, inv_up = p.base.up_masks, _inv_up_masks(p)
+    vectors = {
+        x: "".join("1320"[2 * (up[k] >> q & 1) + (inv_up[k] >> q & 1)] for q in columns)
+        for k, x in enumerate(p.elements)
+    }
     return n, _check_embedding(p, target, vectors)
 
 

@@ -178,22 +178,17 @@ def interval_structure(p: InvPoset, x: str) -> InvPoset:
     return p.restrict(p.base.interval(x, p.i(x)))
 
 
-def _interval_ok(p: InvPoset, x: str, variety: str) -> bool:
-    piece = interval_structure(p, x)
-    rep = condition_report(piece)
-    if variety == "kleene":
-        return rep.k1 and rep.m3
-    return rep.m1 and rep.m2 and rep.m3
-
-
-def _all_intervals_ok(core: InvPoset, variety: str) -> bool:
-    return all(
-        _interval_ok(core, x, variety) for x in core.self_below_inv()
-    )
-
-
 def inclusion_unifier(sub: InvPoset, q: InvPoset) -> InvMorphism:
     return make_inv_morphism(sub, q, {x: x for x in sub.elements})
+
+
+#: per involutive variety: the conditions a projective interval meets
+#: (the unitary test on the core, the finitary test on each piece), and
+#: the nullary family named by the first of them some piece fails
+_INTERVAL_TESTS = {
+    "kleene": (("k1", "m3"), ("k1", "k2")),
+    "demorgan": (("m1", "m2", "m3"), ("m1", "m2", "m3")),
+}
 
 
 def classify(q, variety: str) -> UnifClassification:
@@ -203,6 +198,11 @@ def classify(q, variety: str) -> UnifClassification:
     Certificates: unitary carries the inclusion of the core (identity
     for bdl), finitary the interval mu-set, nullary a pattern tuple
     located in the structure the theorem case analysis names.
+
+    Finitarity is decided once, on the candidate mu-set members: [x, y]
+    for minimal x below maximal y (bdl), [m, i(m)] for minimal core
+    points m.  Every other interval lies inside one of these, and each
+    condition passes down to sub-intervals, so checking them suffices.
     """
     _require_variety(q, variety)
     if not is_solvable(q, variety):
@@ -211,32 +211,37 @@ def classify(q, variety: str) -> UnifClassification:
     if variety == "bdl":
         if lattice_report(q).is_nonempty_lattice:
             return UnifClassification(True, UNITARY, MostGeneral(identity_map(q)), None)
-        if _bdl_intervals_ok(q):
-            return UnifClassification(True, FINITARY, MuSet(tuple(mu_set(q, "bdl"))), None)
-        anchors = find_null_pattern(q, "bdl")
-        assert anchors is not None
-        return UnifClassification(
-            True, NULLARY, NullPattern("bdl", tuple(sorted(anchors.items()))), None
-        )
-
-    core = core_of(q, variety)
-    rep = condition_report(core)
-    if variety == "kleene":
-        unit = rep.k1 and rep.m3
-        fin_head = not rep.k1
+        core = None
+        pieces = [
+            q.restrict(q.interval(x, y))
+            for x in q.minimals()
+            for y in q.maximals()
+            if q.leq(x, y)
+        ]
+        finitary = all(lattice_report(p).is_nonempty_lattice for p in pieces)
+        family, struct, include = "bdl", q, make_monotone_map
     else:
-        unit = rep.m1 and rep.m2 and rep.m3
-        fin_head = not rep.m1
-    if unit:
-        return UnifClassification(
-            True, UNITARY, MostGeneral(inclusion_unifier(core, q)), core
-        )
-    if fin_head and _all_intervals_ok(core, variety):
-        return UnifClassification(
-            True, FINITARY, MuSet(tuple(mu_set(q, variety))), core
-        )
-    family = _nullary_family(core, variety)
-    anchors = find_null_pattern(core, family)
+        tests, families = _INTERVAL_TESTS[variety]
+        core = struct = core_of(q, variety)
+        rep = condition_report(core)
+        if all(getattr(rep, t) for t in tests):
+            return UnifClassification(
+                True, UNITARY, MostGeneral(inclusion_unifier(core, q)), core
+            )
+        pieces = [interval_structure(core, m) for m in core.base.minimals()]
+        reports = [condition_report(p) for p in pieces]
+        failed = [
+            f for t, f in zip(tests, families) if not all(getattr(r, t) for r in reports)
+        ]
+        # the theorems' finitary head: the core itself fails the first test
+        finitary = not failed and not getattr(rep, tests[0])
+        family = failed[0] if failed else families[-1]
+        include = make_inv_morphism
+
+    if finitary:
+        members = tuple(include(p, q, {z: z for z in p.elements}) for p in pieces)
+        return UnifClassification(True, FINITARY, MuSet(members), core)
+    anchors = find_null_pattern(struct, family)
     if anchors is None:
         raise ValidationError(
             f"classification says nullary but no {family!r} pattern found; "
@@ -247,61 +252,20 @@ def classify(q, variety: str) -> UnifClassification:
     )
 
 
-def _bdl_intervals_ok(q: Poset) -> bool:
-    for x in q.elements:
-        for y in q.elements:
-            if q.leq(x, y):
-                piece = q.restrict(q.interval(x, y))
-                if not lattice_report(piece).is_nonempty_lattice:
-                    return False
-    return True
-
-
-def _nullary_family(core: InvPoset, variety: str) -> str:
-    """Which pattern family the theorem's case analysis lands on."""
-    xs = core.self_below_inv()
-    if variety == "kleene":
-        if any(not condition_report(interval_structure(core, x)).k1 for x in xs):
-            return "k1"
-        return "k2"
-    if any(not condition_report(interval_structure(core, x)).m1 for x in xs):
-        return "m1"
-    if any(not condition_report(interval_structure(core, x)).m2 for x in xs):
-        return "m2"
-    return "m3"
-
-
 def mu_set(q, variety: str) -> list[Unifier]:
-    """The interval mu-set of a finitary instance.
+    """The interval mu-set of a finitary instance: the members of
+    `classify`'s certificate.
 
     bdl: inclusions of [x, y] for minimal x below maximal y.  kleene and
     demorgan: inclusions of the core intervals [x, i(x)] at minimal
     core points.  Members are pairwise incomparable and every unifier
-    factors through one of them.
+    factors through one of them.  Any other instance, unsolvable ones
+    included, raises PreconditionError.
     """
-    _require_variety(q, variety)
-    if variety == "bdl":
-        if lattice_report(q).is_nonempty_lattice or not _bdl_intervals_ok(q):
-            raise PreconditionError("mu_set asked of a non-finitary instance")
-        out: list[Unifier] = []
-        for x in q.minimals():
-            for y in q.maximals():
-                if q.leq(x, y):
-                    piece = q.restrict(q.interval(x, y))
-                    out.append(
-                        make_monotone_map(piece, q, {z: z for z in piece.elements})
-                    )
-        return out
-    core = core_of(q, variety)
-    rep = condition_report(core)
-    fin_head = (not rep.k1) if variety == "kleene" else (not rep.m1)
-    if not (fin_head and _all_intervals_ok(core, variety)):
+    result = classify(q, variety)
+    if result.utype != FINITARY:
         raise PreconditionError("mu_set asked of a non-finitary instance")
-    out = []
-    for x in core.base.minimals():
-        piece = interval_structure(core, x)
-        out.append(make_inv_morphism(piece, q, {z: z for z in piece.elements}))
-    return out
+    return list(result.certificate.members)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,16 @@
 the library: it lists all maps in the order the library's search yields
 them.  The Boolean-cube embedding and its retraction oracle serve the
 bdl half of the projectivity agreement check.  `greedy_pruned_vectors`
-is the plain form of the embedding's column pruning, and the null-pattern
+is the plain form of the embedding's column pruning and
+`reference_columns` its form by DIAMOND order lookup, and the null-pattern
 finder and verifier state each nullarity family clause by clause.  The
 scanning joins and meets, the depth-first 3-completeness walk, the
 all-pairs product and the triple-wise m3 check are the forms the order
 kernels replaced, as are the closure by repeated set passes, the
 cover extraction by set intersection and the pair-set Kleene core that
-the up-mask kernel replaced.
+the up-mask kernel replaced.  `reference_classify` and
+`reference_mu_set` decide finitarity by testing every interval, not
+only those at minimal points, and name the nullary family the same way.
 """
 
 import functools
@@ -21,11 +24,26 @@ from morgan_unify.involutive import DIAMOND, InvPoset, make_invposet
 from morgan_unify.order import (
     MonotoneMap,
     Poset,
+    identity_map,
     lattice_report,
     make_monotone_map,
     search_maps,
 )
-from morgan_unify.projectivity import _coordinate
+from morgan_unify.projectivity import condition_report
+from morgan_unify.unification import (
+    FINITARY,
+    NULLARY,
+    UNITARY,
+    MostGeneral,
+    MuSet,
+    NullPattern,
+    UnifClassification,
+    core_of,
+    find_null_pattern,
+    inclusion_unifier,
+    interval_structure,
+    is_solvable,
+)
 
 
 def ordered_brute_force(dom: Poset, cod: Poset, build, keep=None) -> list:
@@ -94,14 +112,55 @@ def oracle_poset_retraction(p: Poset, embedding: tuple[int, MonotoneMap]) -> Mon
     return None if f is None else make_monotone_map(cube, p, f)
 
 
-def greedy_pruned_vectors(p: InvPoset) -> dict[str, str]:
-    """The pruned DIAMOND vectors of `canonical_embedding(p, prune=True)`,
-    found by rebuilding every vector and rechecking every pair for each
-    column trial."""
+def _coordinate(p: InvPoset, down: frozenset[str], x: str) -> str:
+    """DIAMOND coordinate of x for the principal downset `down`: in the
+    downset and in its De Morgan complement -> "2", downset only -> "0",
+    complement only -> "1", neither -> "3"."""
+    in_x = x in down
+    in_neg = p.i(x) not in down
+    if in_x and in_neg:
+        return "2"
+    if in_x:
+        return "0"
+    if in_neg:
+        return "1"
+    return "3"
+
+
+def reference_columns(p: InvPoset, prune: bool) -> list[dict[str, str]]:
+    """The embedding's coordinate columns, each a map point -> digit,
+    with each pair's separating columns found by looking every digit
+    pair up in DIAMOND's order."""
+    if not p.elements:
+        raise PreconditionError("cannot embed the empty involutive poset")
     columns = []
     for q in p.elements:
         down = p.base.down_of([q])
         columns.append({x: _coordinate(p, down, x) for x in p.elements})
+    if prune:
+        d_le = DIAMOND.base.le
+        separating = [
+            sum(1 << k for k, c in enumerate(columns) if (c[x], c[y]) not in d_le)
+            for x in p.elements
+            for y in p.elements
+            if not p.base.leq(x, y)
+        ]
+        kept = (1 << len(columns)) - 1
+        for k in reversed(range(len(columns))):
+            if kept.bit_count() == 1:
+                break
+            trial = kept & ~(1 << k)
+            if all(s & trial for s in separating):
+                kept = trial
+        columns = [c for k, c in enumerate(columns) if kept >> k & 1]
+    return columns
+
+
+def greedy_pruned_vectors(p: InvPoset) -> dict[str, str]:
+    """The pruned DIAMOND vectors of `canonical_embedding(p, prune=True)`,
+    found by rebuilding every vector and rechecking every pair for each
+    column trial."""
+    columns = reference_columns(p, prune=False)
 
     def contract_ok(cols):
         vecs = {x: "".join(c[x] for c in cols) for x in p.elements}
@@ -422,3 +481,98 @@ def reference_kleene_core_order(q: InvPoset):
         (x, y) for x in carrier for y in carrier if base.leq(x, y) and keep(x, y)
     )
     return carrier, le
+
+
+def bdl_intervals_ok(q: Poset) -> bool:
+    """Every interval [x, y] with x <= y is a lattice."""
+    for x in q.elements:
+        for y in q.elements:
+            if q.leq(x, y):
+                piece = q.restrict(q.interval(x, y))
+                if not lattice_report(piece).is_nonempty_lattice:
+                    return False
+    return True
+
+
+def _interval_ok(p: InvPoset, x: str, variety: str) -> bool:
+    rep = condition_report(interval_structure(p, x))
+    if variety == "kleene":
+        return rep.k1 and rep.m3
+    return rep.m1 and rep.m2 and rep.m3
+
+
+def all_intervals_ok(core: InvPoset, variety: str) -> bool:
+    """Every interval [x, i(x)] with x <= i(x) is projective."""
+    return all(_interval_ok(core, x, variety) for x in core.self_below_inv())
+
+
+def nullary_family(core: InvPoset, variety: str) -> str:
+    """The first condition some interval [x, i(x)] fails, over all of
+    them: k1, else k2; m1, else m2, else m3."""
+    xs = core.self_below_inv()
+    if variety == "kleene":
+        if any(not condition_report(interval_structure(core, x)).k1 for x in xs):
+            return "k1"
+        return "k2"
+    if any(not condition_report(interval_structure(core, x)).m1 for x in xs):
+        return "m1"
+    if any(not condition_report(interval_structure(core, x)).m2 for x in xs):
+        return "m2"
+    return "m3"
+
+
+def _finitary(q, variety: str, core) -> bool:
+    if variety == "bdl":
+        return not lattice_report(q).is_nonempty_lattice and bdl_intervals_ok(q)
+    rep = condition_report(core)
+    head = (not rep.k1) if variety == "kleene" else (not rep.m1)
+    return head and all_intervals_ok(core, variety)
+
+
+def reference_mu_set(q, variety: str) -> list:
+    """The interval mu-set, with its precondition re-decided over every
+    interval; an unsolvable instance gives []."""
+    if variety == "bdl":
+        if not _finitary(q, variety, None):
+            raise PreconditionError("mu_set asked of a non-finitary instance")
+        return [
+            make_monotone_map(piece, q, {z: z for z in piece.elements})
+            for x in q.minimals()
+            for y in q.maximals()
+            if q.leq(x, y)
+            for piece in [q.restrict(q.interval(x, y))]
+        ]
+    core = core_of(q, variety)
+    if not _finitary(q, variety, core):
+        raise PreconditionError("mu_set asked of a non-finitary instance")
+    return [inclusion_unifier(interval_structure(core, x), q) for x in core.base.minimals()]
+
+
+def reference_classify(q, variety: str) -> UnifClassification:
+    """`classify` with finitarity decided over every interval and the
+    nullary family named by `nullary_family`."""
+    if not is_solvable(q, variety):
+        return UnifClassification(False, None, None, None)
+    if variety == "bdl":
+        core = None
+        if lattice_report(q).is_nonempty_lattice:
+            return UnifClassification(True, UNITARY, MostGeneral(identity_map(q)), None)
+        family = "bdl"
+    else:
+        core = core_of(q, variety)
+        rep = condition_report(core)
+        unit = rep.k1 and rep.m3 if variety == "kleene" else rep.m1 and rep.m2 and rep.m3
+        if unit:
+            return UnifClassification(
+                True, UNITARY, MostGeneral(inclusion_unifier(core, q)), core
+            )
+        family = nullary_family(core, variety)
+    if _finitary(q, variety, core):
+        return UnifClassification(
+            True, FINITARY, MuSet(tuple(reference_mu_set(q, variety))), core
+        )
+    anchors = find_null_pattern(q if core is None else core, family)
+    assert anchors is not None
+    return UnifClassification(
+        True, NULLARY, NullPattern(family, tuple(sorted(anchors.items()))), core
+    )

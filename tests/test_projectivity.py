@@ -24,6 +24,7 @@ from reference import (
     greedy_pruned_vectors,
     m3_fast_path,
     oracle_poset_retraction,
+    reference_columns,
 )
 from strategies import invposets
 
@@ -91,12 +92,22 @@ class TestCanonicalEmbedding:
         assert n == 2
         assert e.as_dict == {"a": "23", "b": "32"}
 
-    def test_pruning_matches_greedy_reference(self):
+    def test_pruning_matches_greedy_reference(self, invposets_upto_6, pattern_instances):
+        def vectors(iv, columns):
+            return {x: "".join(c[x] for c in columns) for x in iv.elements}
+
         for iv in enumerate_invposets_upto(4):
             if iv.elements:
                 n, e = canonical_embedding(iv, prune=True)
                 assert e.as_dict == greedy_pruned_vectors(iv)
                 assert n == len(e(iv.elements[0]))
+                unpruned = canonical_embedding(iv)[1].as_dict
+                assert unpruned == vectors(iv, reference_columns(iv, prune=False))
+        # the separating masks against the columns found by DIAMOND lookup
+        for iv in [*invposets_upto_6, *pattern_instances.values()]:
+            if iv.elements:
+                _, e = canonical_embedding(iv, prune=True)
+                assert e.as_dict == vectors(iv, reference_columns(iv, prune=True))
 
     def test_unpruned_dimension_is_carrier_size(self, diamond):
         n, _ = canonical_embedding(diamond)

@@ -1,3 +1,4 @@
+import random
 from functools import partial
 
 import pytest
@@ -25,6 +26,8 @@ from morgan_unify import (
     verify_null_pattern,
 )
 from morgan_unify.cli import ANCHOR_ORDER
+from morgan_unify.duality import demorgan_dual
+from morgan_unify.gallery import m3_pattern_instance
 from morgan_unify.involutive import make_inv_morphism
 from morgan_unify.order import make_monotone_map
 from morgan_unify.unification import core_of
@@ -32,8 +35,10 @@ from morgan_unify.unification import core_of
 from reference import (
     NULL_PATTERN_SHAPES,
     ordered_brute_force,
+    reference_classify,
     reference_find_null_pattern,
     reference_kleene_core_order,
+    reference_mu_set,
     reference_verify_null_pattern,
 )
 from strategies import invposets
@@ -210,6 +215,62 @@ class TestClassify:
         assert find_inv_isomorphism(nullary[0], pattern_instances["m2"]) is not None
 
 
+def layered_forest(widths, seed):
+    """Each point above the lowest layer covers one point of the layer
+    below, drawn from a seeded generator."""
+    rng = random.Random(seed)
+    layers = [[f"l{k}_{i}" for i in range(w)] for k, w in enumerate(widths)]
+    covers = [(rng.choice(low), y) for low, high in zip(layers, layers[1:]) for y in high]
+    return validate_poset([x for layer in layers for x in layer], covers)
+
+
+def beside(first, second):
+    """The disjoint union, first's points listed first."""
+    bases = [s.base if isinstance(s, InvPoset) else s for s in (first, second)]
+    union = validate_poset(
+        [x for b in bases for x in b.elements], [c for b in bases for c in b.covers()]
+    )
+    if isinstance(first, InvPoset):
+        return validate_involutive(union, {**first.inv, **second.inv})
+    return union
+
+
+class TestClassifyAgainstReference:
+    def test_matches_all_intervals_reference(
+        self, posets_upto_6, invposets_upto_6, crown, fm1, point, pattern_instances
+    ):
+        # the reference tests every interval, not only those at minimal
+        # points, and names the nullary family over all of them; each
+        # pattern also sits beside a point, whose interval comes first
+        patterns = [*pattern_instances.values(), m3_pattern_instance()]
+        involutive = [
+            *invposets_upto_6,
+            *patterns,
+            *(beside(point, iv) for iv in patterns),
+            demorgan_dual(fm1),
+        ]
+        forest = layered_forest((5,) * 12, seed=1401)
+        assert len(forest) == 60 and len(forest.minimals()) > 1
+        bdl = [*posets_upto_6, crown, beside(point.base, crown), forest, beside(forest, crown)]
+        cases = [(p, "bdl") for p in bdl]
+        cases += [(iv.base, "bdl") for iv in involutive]
+        cases += [(iv, "demorgan") for iv in involutive]
+        cases += [(iv, "kleene") for iv in involutive if iv.is_kleene]
+        seen = set()
+        for q, variety in cases:
+            want = reference_classify(q, variety)
+            assert classify(q, variety) == want
+            seen.add((variety, want.utype))
+            if want.utype == "finitary":
+                assert mu_set(q, variety) == reference_mu_set(q, variety)
+            else:
+                with pytest.raises(PreconditionError):
+                    mu_set(q, variety)
+        types = (None, "unitary", "finitary", "nullary")
+        assert seen == {(v, t) for v in ("bdl", "demorgan", "kleene") for t in types}
+        assert len(classify(forest, "bdl").certificate.members) > 1
+
+
 class TestMuSet:
     def test_antichain_two_singletons(self):
         members = mu_set(validate_poset(["a", "b"], []), "bdl")
@@ -227,6 +288,12 @@ class TestMuSet:
             mu_set(diamond.base, "bdl")
         with pytest.raises(PreconditionError):
             mu_set(diamond, "kleene")
+
+    def test_rejected_on_unsolvable_instance(self, antichain_swap):
+        with pytest.raises(PreconditionError):
+            mu_set(validate_poset([], []), "bdl")
+        with pytest.raises(PreconditionError):
+            mu_set(antichain_swap, "demorgan")
 
     def test_members_pairwise_incomparable(self):
         q = validate_poset(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])

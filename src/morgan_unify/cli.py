@@ -12,7 +12,7 @@ import sys
 from typing import Any
 
 from .algebra import FiniteAlgebra, TAG_DEMORGAN
-from .documents import dumps, loads, structure_document
+from .documents import dumps, jsonable, loads, structure_document
 from .duality import demorgan_dual, demorgan_from_dual, downset_algebra, join_irreducibles
 from .errors import PreconditionError, SizeGuardError, ValidationError
 from .involutive import DIAMOND, InvPoset, kleene_part, power
@@ -55,14 +55,6 @@ def _read_structure(path: str):
 
 def _emit(data: dict[str, Any]) -> None:
     sys.stdout.write(dumps(data))
-
-
-def _jsonable(value):
-    if isinstance(value, (frozenset, set)):
-        return sorted(value)
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 def _morphism_json(u) -> dict[str, Any]:
@@ -153,7 +145,7 @@ def cmd_projective(args) -> int:
                 "k1": report.k1,
                 "k2": report.k2,
             },
-            "witnesses": {k: _jsonable(v) for k, v in report.witnesses.items()},
+            "witnesses": {k: jsonable(v) for k, v in report.witnesses.items()},
         }
     )
     return EXIT_OK
@@ -311,7 +303,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except ValidationError as exc:
-        _emit({"error": str(exc), "witness": _jsonable(exc.witness)})
+        _emit({"error": str(exc), "witness": jsonable(exc.witness)})
         return EXIT_MALFORMED
     except OSError as exc:
         _emit({"error": str(exc)})

@@ -92,6 +92,15 @@ def structure_document(s: Structure) -> dict[str, Any]:
     return doc
 
 
+def jsonable(value):
+    """A witness in JSON form: sets sorted into lists, tuples as lists."""
+    if isinstance(value, (frozenset, set)):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
 def dumps(data: dict[str, Any]) -> str:
     return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
 

@@ -8,9 +8,11 @@ search used as the agreement oracle.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
+from .documents import jsonable
 from .errors import PreconditionError, SizeGuardError, ValidationError
 from .involutive import (
     DIAMOND,
@@ -23,6 +25,8 @@ from .involutive import (
 from .order import Poset, bits, is_three_complete, lattice_report, search_maps
 
 VARIETIES = ("bdl", "kleene", "demorgan")
+#: the dual conditions each involutive variety's projectivity theorem needs
+REQUIRED = {"demorgan": ("m1", "m2", "m3"), "kleene": ("m2", "m3", "k1", "k2")}
 
 
 @dataclass(frozen=True)
@@ -120,9 +124,7 @@ def is_projective_dual(
     if variety == "kleene" and not p.is_kleene:
         raise PreconditionError("kleene projectivity asked of a non-Kleene object")
     report = condition_report(p)
-    if variety == "demorgan":
-        return report.m1 and report.m2 and report.m3, report
-    return report.m2 and report.m3 and report.k1 and report.k2, report
+    return all(getattr(report, c) for c in REQUIRED[variety]), report
 
 
 def _check_embedding(p: InvPoset, target: InvPoset, vectors: dict[str, str]) -> InvMorphism:
@@ -252,7 +254,12 @@ def build_retraction(
         raise PreconditionError("build_retraction supports demorgan and kleene")
     ok, report = is_projective_dual(p, variety)
     if not ok:
-        raise PreconditionError(f"input is not projective for {variety}: {report}")
+        failed = "; ".join(
+            f"{c} fails at {json.dumps(jsonable(report.witnesses.get(c)))}"
+            for c in REQUIRED[variety]
+            if not getattr(report, c)
+        )
+        raise PreconditionError(f"input is not projective for {variety}: {failed}")
     n, e = embedding if embedding is not None else canonical_embedding(p)
     if n > 6:
         raise SizeGuardError(

@@ -10,7 +10,7 @@ bounded unifier enumerator used as the audit oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product as cartesian
 from typing import Iterator, Union
 
@@ -281,12 +281,13 @@ class Pattern:
     """A forbidden configuration: a map from a fixed shape into the dual.
 
     `anchors` are the one-letter anchor names in certificate order, and
-    each cover "lh" in `covers` asks for l <= h.  The first `core`
-    anchors are searched; every later anchor takes the first point, in
-    element order, of its kind above its lower covers.  `kinds` holds
-    each anchor's kind (ANY when absent).  The clause is negative: no
-    point of kind `clause[0]` lies above every anchor in `clause[1]` and
-    below every anchor in `clause[2]`.
+    each cover "lh" in `covers` asks for l <= h; every cover lists its
+    lower anchor first in `anchors`.  The first `core` anchors are
+    searched; every later anchor takes the first point, in element
+    order, of its kind above its lower covers.  `kinds` holds each
+    anchor's kind (ANY when absent).  The clause is negative: no point
+    of kind `clause[0]` lies above every anchor in `clause[1]` and below
+    every anchor in `clause[2]`; it names searched anchors only.
     """
 
     anchors: str
@@ -294,14 +295,6 @@ class Pattern:
     core: int
     kinds: dict[str, str]
     clause: tuple[str, str, str]
-
-    @cached_property
-    def shape(self) -> Poset:
-        """The searched anchors with their covers.  They are listed along
-        the shape's linear extension, so `search_maps` yields matches in
-        certificate order."""
-        core = self.anchors[: self.core]
-        return validate_poset(core, [c for c in self.covers.split() if c[1] in core])
 
 
 _CROWN = "xa xb ac ad bc bd"
@@ -348,40 +341,74 @@ def _clause_holds(pat: Pattern, base: Poset, kinds: dict[str, int], at: dict[str
 
 def find_null_pattern(struct, family: str) -> dict[str, str] | None:
     """First anchor tuple, in certificate order, satisfying the family's
-    clauses; None when the exhaustive search comes up empty."""
+    clauses; None when the exhaustive search comes up empty.
+
+    The core anchors are placed in certificate order, each trying its
+    values in element order, so matches come in lexicographic order.
+    The negative clause is a mask on the last clause anchor placed: once
+    the others sit, it may take no point whose up-set (a low anchor) or
+    down-set (a high anchor) meets the points the clause forbids, so no
+    match the clause rejects is ever built.
+    """
     pat, base, kinds = _pattern_env(struct, family)
     down, up = base.down_masks, base.up_masks
     names = base.elements
+    anchors = pat.anchors
+    pos = {t: k for k, t in enumerate(anchors)}
+    covers = [(pos[lo], pos[hi]) for lo, hi in pat.covers.split()]
+    lower = [[lo for lo, hi in covers if hi == k] for k in range(len(anchors))]
     # a point is allowed for an anchor when it has the anchor's kind and
-    # every upper cover of the anchor has an allowed point above it
-    allowed: dict[str, int] = {}
-    for t in reversed(pat.anchors):
-        m = kinds[pat.kinds.get(t, ANY)]
-        for lo, hi in pat.covers.split():
-            if lo == t:
-                room = 0
-                for j in bits(allowed[hi]):
-                    room |= down[j]
-                m &= room
-        allowed[t] = m
-    options = {t: [names[i] for i in bits(allowed[t])] for t in pat.shape.elements}
-    tops = [
-        (t, [lo for lo, hi in pat.covers.split() if hi == t])
-        for t in pat.anchors[pat.core :]
-    ]
-    for match in search_maps(pat.shape, base, options):
-        at = {t: base.index[v] for t, v in match.items()}
-        if not _clause_holds(pat, base, kinds, at):
+    # every upper cover of the anchor has an allowed point above it;
+    # upper anchors come later, so they settle first
+    allowed = [kinds[pat.kinds.get(t, ANY)] for t in anchors]
+    for lo, hi in sorted(covers, reverse=True):
+        room = 0
+        for j in bits(allowed[hi]):
+            room |= down[j]
+        allowed[lo] &= room
+    kind, lows, highs = pat.clause
+    last = max(pos[t] for t in lows + highs)
+    other_lows = [pos[t] for t in lows if pos[t] != last]
+    other_highs = [pos[t] for t in highs if pos[t] != last]
+    # a low last anchor may sit below no forbidden point, a high one above none
+    reach = down if anchors[last] in lows else up
+    val = [0] * len(anchors)
+
+    def candidates(k: int) -> int:
+        m = allowed[k]
+        for j in lower[k]:
+            m &= up[val[j]]
+        if k == last:
+            forbidden = kinds[kind]
+            for j in other_lows:
+                forbidden &= up[val[j]]
+            for j in other_highs:
+                forbidden &= down[val[j]]
+            for s in bits(forbidden):
+                m &= ~reach[s]
+        return m
+
+    left = [candidates(0)] + [0] * (pat.core - 1)  # untried values per core anchor
+    k = 0
+    while k >= 0:
+        m = left[k]
+        if not m:
+            k -= 1
             continue
-        for t, lows in tops:
-            m = allowed[t]
-            for lo in lows:
-                m &= up[at[lo]]
+        low = m & -m
+        left[k] = m ^ low
+        val[k] = low.bit_length() - 1
+        if k + 1 < pat.core:
+            k += 1
+            left[k] = candidates(k)
+            continue
+        for t in range(pat.core, len(anchors)):
+            m = candidates(t)
             if not m:
                 break
-            at[t] = (m & -m).bit_length() - 1
+            val[t] = (m & -m).bit_length() - 1
         else:
-            return {t: names[at[t]] for t in pat.anchors}
+            return {t: names[v] for t, v in zip(anchors, val)}
     return None
 
 
@@ -389,7 +416,7 @@ def verify_null_pattern(struct, family: str, anchors: dict[str, str]) -> bool:
     """Re-check the family's covers, anchor kinds and negative clause on
     the given anchors."""
     pat, base, kinds = _pattern_env(struct, family)
-    if not all(anchors[t] in base for t in pat.anchors):
+    if not all(t in anchors and anchors[t] in base for t in pat.anchors):
         return False
     at = {t: base.index[anchors[t]] for t in pat.anchors}
     return (

@@ -6,7 +6,9 @@ them.  The Boolean-cube embedding and its retraction oracle serve the
 bdl half of the projectivity agreement check.  `greedy_pruned_vectors`
 is the plain form of the embedding's column pruning and
 `reference_columns` its form by DIAMOND order lookup, and the null-pattern
-finder and verifier state each nullarity family clause by clause.  The
+finder and verifier state each nullarity family clause by clause;
+`search_maps_find_null_pattern` is the pattern-table search that builds
+every cover-respecting match before it tests the clause.  The
 scanning joins and meets, the depth-first 3-completeness walk, the
 all-pairs product and the triple-wise m3 check are the forms the order
 kernels replaced, as are the closure by repeated set passes, the
@@ -26,8 +28,10 @@ from morgan_unify.order import (
     Poset,
     identity_map,
     lattice_report,
+    bits,
     make_monotone_map,
     search_maps,
+    validate_poset,
 )
 from morgan_unify.projectivity import condition_report
 from morgan_unify.unification import (
@@ -38,6 +42,8 @@ from morgan_unify.unification import (
     MuSet,
     NullPattern,
     UnifClassification,
+    _clause_holds,
+    _pattern_env,
     core_of,
     find_null_pattern,
     inclusion_unifier,
@@ -216,6 +222,46 @@ def reference_find_null_pattern(struct, family: str) -> dict[str, str] | None:
         return None
 
     return extend([])
+
+
+def search_maps_find_null_pattern(struct, family: str) -> dict[str, str] | None:
+    """The pattern table's search as `search_maps` runs it: every
+    cover-respecting match of the core anchors is built, and the negative
+    clause is tested on each full match."""
+    pat, base, kinds = _pattern_env(struct, family)
+    down, up = base.down_masks, base.up_masks
+    names = base.elements
+    allowed: dict[str, int] = {}
+    for t in reversed(pat.anchors):
+        m = kinds[pat.kinds.get(t, "any")]
+        for lo, hi in pat.covers.split():
+            if lo == t:
+                room = 0
+                for j in bits(allowed[hi]):
+                    room |= down[j]
+                m &= room
+        allowed[t] = m
+    core = pat.anchors[: pat.core]
+    shape = validate_poset(core, [c for c in pat.covers.split() if c[1] in core])
+    options = {t: [names[i] for i in bits(allowed[t])] for t in shape.elements}
+    tops = [
+        (t, [lo for lo, hi in pat.covers.split() if hi == t])
+        for t in pat.anchors[pat.core :]
+    ]
+    for match in search_maps(shape, base, options):
+        at = {t: base.index[v] for t, v in match.items()}
+        if not _clause_holds(pat, base, kinds, at):
+            continue
+        for t, lows in tops:
+            m = allowed[t]
+            for lo in lows:
+                m &= up[at[lo]]
+            if not m:
+                break
+            at[t] = (m & -m).bit_length() - 1
+        else:
+            return {t: names[at[t]] for t in pat.anchors}
+    return None
 
 
 def reference_verify_null_pattern(struct, family: str, anchors: dict[str, str]) -> bool:

@@ -351,3 +351,31 @@ def test_validation_witness_independent_of_hash_seed(doc, witness, tmp_path):
         outputs.add(proc.stdout)
     assert len(outputs) == 1
     assert json.loads(outputs.pop())["witness"] == witness
+
+
+@pytest.mark.parametrize(
+    "variety, failures",
+    [
+        ("kleene", 'm3 fails at ["a", "b", "c"]'),
+        ("dm", 'm1 fails at ["a", "b"]; m3 fails at ["a", "b", "c"]'),
+    ],
+)
+def test_retract_refusal_independent_of_hash_seed(variety, failures, data_dir):
+    # the k2 shape is not projective; the refusal names the conditions the
+    # variety needs that fail, each witness as `projective` prints it
+    outputs = set()
+    for seed in range(6):
+        proc = subprocess.run(
+            [sys.executable, "-m", "morgan_unify.cli", "retract",
+             str(data_dir / "k2_pattern.json"), "--variety", variety, "--prune"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        )
+        assert proc.returncode == 3
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    name = "demorgan" if variety == "dm" else variety
+    assert json.loads(outputs.pop()) == {
+        "error": f"input is not projective for {name}: {failures}"
+    }

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from morgan_unify import (
+    DIAMOND,
     InvPoset,
     MostGeneral,
     PreconditionError,
@@ -18,8 +19,11 @@ from morgan_unify import (
     is_projective_dual,
     is_solvable,
     kleene_core,
+    kleene_part,
     more_general,
     mu_set,
+    power,
+    product,
     validate_involutive,
     validate_monotone_map,
     validate_poset,
@@ -30,7 +34,7 @@ from morgan_unify.duality import demorgan_dual
 from morgan_unify.gallery import m3_pattern_instance
 from morgan_unify.involutive import make_inv_morphism
 from morgan_unify.order import make_monotone_map
-from morgan_unify.unification import core_of
+from morgan_unify.unification import PATTERNS, core_of
 
 from reference import (
     NULL_PATTERN_SHAPES,
@@ -40,6 +44,7 @@ from reference import (
     reference_kleene_core_order,
     reference_mu_set,
     reference_verify_null_pattern,
+    search_maps_find_null_pattern,
 )
 from strategies import invposets
 
@@ -397,6 +402,115 @@ class TestPatternTableAgainstReference:
                         family,
                         moved,
                     )
+
+    def test_verify_rejects_a_missing_anchor(self, crown):
+        anchors = find_null_pattern(crown, "bdl")
+        for name in anchors:
+            partial_anchors = {t: v for t, v in anchors.items() if t != name}
+            assert not verify_null_pattern(crown, "bdl", partial_anchors)
+
+
+def bounded_layered(widths, seed):
+    """Each point covers one or two points of the layer below; the two
+    first points of layers 1 and 2 form a bowtie; a bottom below the
+    lowest layer and a top above every point without an upper cover
+    close the poset, so its one interval is no lattice."""
+    rng = random.Random(seed)
+    layers = [[f"l{k}_{i}" for i in range(w)] for k, w in enumerate(widths)]
+    covers = {("bot", x) for x in layers[0]}
+    for low, high in zip(layers, layers[1:]):
+        for y in high:
+            covers |= {(x, y) for x in rng.sample(low, rng.randint(1, 2))}
+    covers |= {(x, y) for x in layers[1][:2] for y in layers[2][:2]}
+    names = ["bot"] + [x for layer in layers for x in layer]
+    covers |= {(x, "top") for x in names} - {(x, "top") for x, _ in covers}
+    names.append("top")
+    return validate_poset(names, sorted(covers))
+
+
+def chain(k):
+    names = [f"c{i}" for i in range(k)]
+    return validate_poset(names, list(zip(names, names[1:])))
+
+
+def grid(a, b):
+    """The product of an a-chain and a b-chain."""
+    names = [f"g{i}_{j}" for i in range(a) for j in range(b)]
+    covers = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(a - 1) for j in range(b)]
+    covers += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(a) for j in range(b - 1)]
+    return validate_poset(names, covers)
+
+
+def reversed_chain(k):
+    """The k-chain with the order-reversing involution."""
+    base = chain(k)
+    return validate_involutive(base, dict(zip(base.elements, reversed(base.elements))))
+
+
+class TestPatternSearchAgainstSearchMaps:
+    """The clause-narrowed search returns what the search that builds
+    every match and then tests the clause returns."""
+
+    def test_certificate_order_extends_the_covers(self):
+        for pat in PATTERNS.values():
+            core = pat.anchors[: pat.core]
+            shape = validate_poset(core, [c for c in pat.covers.split() if c[1] in core])
+            assert "".join(shape.linear_extension()) == core
+            assert all(pat.anchors.index(lo) < pat.anchors.index(hi) for lo, hi in pat.covers.split())
+            assert set(pat.clause[1] + pat.clause[2]) <= set(core)
+
+    def test_small_corpora_and_gallery(
+        self, posets_upto_6, invposets_upto_6, crown, pattern_instances
+    ):
+        found = set()
+        for p in [*posets_upto_6, crown]:
+            anchors = find_null_pattern(p, "bdl")
+            assert anchors == search_maps_find_null_pattern(p, "bdl"), p
+            found.add(("bdl", anchors is not None))
+        for iv in [*invposets_upto_6, *pattern_instances.values()]:
+            for family in ("k1", "k2", "m1", "m2", "m3"):
+                anchors = find_null_pattern(iv, family)
+                assert anchors == search_maps_find_null_pattern(iv, family), (iv, family)
+                found.add((family, anchors is not None))
+        assert {f for f, hit in found if hit} == set(PATTERNS)
+
+    @pytest.mark.parametrize(
+        "widths, seed, size",
+        [((4,) * 8, 1401, 34), ((5,) * 10, 7, 52), ((6,) * 12, 11, 74), ((6,) * 16, 1401, 98)],
+    )
+    def test_bounded_layered_posets(self, widths, seed, size):
+        q = bounded_layered(widths, seed)
+        assert len(q) == size
+        anchors = find_null_pattern(q, "bdl")
+        assert anchors is not None
+        assert anchors == search_maps_find_null_pattern(q, "bdl")
+
+    def test_forests_and_lattices_hold_no_pattern(self):
+        for q in (
+            layered_forest((5,) * 12, seed=1401),
+            layered_forest((3,) * 12, seed=11),
+            chain(12),
+            grid(5, 5),
+            grid(3, 8),
+        ):
+            assert find_null_pattern(q, "bdl") is None
+            assert search_maps_find_null_pattern(q, "bdl") is None
+
+    def test_m1_on_product_cores(self, pattern_instances):
+        structures = [
+            product(pattern_instances["k1"], reversed_chain(3), sep="."),
+            product(pattern_instances["m1"], DIAMOND, sep="."),
+            kleene_part(power(DIAMOND, 3)),
+        ]
+        for q in structures:
+            core = core_of(q, "demorgan")
+            anchors = find_null_pattern(core, "m1")
+            assert anchors is not None
+            assert anchors == search_maps_find_null_pattern(core, "m1")
+
+    def test_bounded_layered_against_clause_by_clause_reference(self):
+        q = bounded_layered((4,) * 8, seed=1401)
+        assert find_null_pattern(q, "bdl") == reference_find_null_pattern(q, "bdl")
 
 
 class TestMoreGeneral:

@@ -192,8 +192,8 @@ def cmd_embed(args) -> int:
     s = _read_structure(args.file)
     if not isinstance(s, InvPoset):
         raise PreconditionError("embed needs an invposet document")
-    n, e = canonical_embedding(s, prune=args.prune)
-    _emit({"n": n, "map": {x: e(x) for x in s.elements}})
+    n, vectors = canonical_embedding(s, prune=args.prune)
+    _emit({"n": n, "map": vectors})
     return EXIT_OK
 
 
@@ -202,15 +202,9 @@ def cmd_retract(args) -> int:
     variety = _resolve_variety(args.variety)
     if not isinstance(s, InvPoset) or variety == "bdl":
         raise PreconditionError("retract needs an invposet and variety dm or kleene")
-    emb = canonical_embedding(s, prune=args.prune)
-    r = build_retraction(s, variety, embedding=emb)
-    _emit(
-        {
-            "n": emb[0],
-            "embedding": {x: emb[1](x) for x in s.elements},
-            "retraction": {v: r(v) for v in r.dom.elements},
-        }
-    )
+    n, vectors = canonical_embedding(s, prune=args.prune)
+    r = build_retraction(s, variety, embedding=(n, vectors))
+    _emit({"n": n, "embedding": vectors, "retraction": r})
     return EXIT_OK
 
 
@@ -297,9 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: built once: each call only parses, and argparse keeps no state between
+#: parses, so every call sees a fresh namespace
+PARSER = build_parser()
+
+
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except ValidationError as exc:

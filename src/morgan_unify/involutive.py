@@ -56,11 +56,11 @@ class InvPoset:
 
     @cached_property
     def fixed_points(self) -> tuple[str, ...]:
-        return tuple(x for x in self.elements if self.inv[x] == x)
+        return tuple([x for x in self.elements if self.inv[x] == x])
 
     def self_below_inv(self) -> tuple[str, ...]:
         """Elements x with x <= i(x), in canonical order."""
-        return tuple(x for x in self.elements if self.base.leq(x, self.inv[x]))
+        return tuple([x for x in self.elements if self.base.leq(x, self.inv[x])])
 
     def restrict(self, keep: Iterable[str]) -> "InvPoset":
         """Induced substructure; `keep` must be closed under the involution."""
@@ -71,11 +71,11 @@ class InvPoset:
                     f"selection not involution-closed at {x!r}", witness=x
                 )
         base = self.base.restrict(keep_set)
-        return InvPoset(base, tuple((x, self.inv[x]) for x in base.elements))
+        return InvPoset(base, tuple([(x, self.inv[x]) for x in base.elements]))
 
 
 def make_invposet(base: Poset, inv: dict[str, str]) -> InvPoset:
-    return InvPoset(base, tuple((x, inv[x]) for x in base.elements))
+    return InvPoset(base, tuple([(x, inv[x]) for x in base.elements]))
 
 
 def mirror_covers(covers: list[Pair], inv: dict[str, str]) -> list[Pair]:
@@ -153,7 +153,7 @@ class InvMorphism:
 
 
 def make_inv_morphism(dom: InvPoset, cod: InvPoset, mapping: dict[str, str]) -> InvMorphism:
-    return InvMorphism(dom, cod, tuple((x, mapping[x]) for x in dom.elements))
+    return InvMorphism(dom, cod, tuple([(x, mapping[x]) for x in dom.elements]))
 
 
 def validate_inv_morphism(

@@ -7,6 +7,11 @@ downstream.  The order is held as up-masks over element indices: bit j
 of `up_masks[i]` is set when elements[i] <= elements[j], so the stored
 relation is reflexive-transitively closed.  Down-masks, the mask-to-point
 index and the pair set `le` are views derived from the up-masks.
+
+Tuples built on every call are built from lists, not generators:
+tuple() over a generator allocates ten slots and then resizes, so the
+freed tuples pile up on the interpreter's per-size free lists, which
+only a full garbage collection empties (megabytes over a long run).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ValidationError
+from .errors import SizeGuardError, ValidationError
 
 Pair = tuple[str, str]
 
@@ -62,7 +67,7 @@ class Poset:
         # transposed through binary strings, at C speed; a Python loop
         # would take one step per pair of the relation
         rows = [format(u, f"0{n}b") for u in self.up_masks]
-        return tuple(int("".join(col)[::-1], 2) for col in zip(*rows))[::-1]
+        return tuple([int("".join(col)[::-1], 2) for col in zip(*rows)])[::-1]
 
     @cached_property
     def le(self) -> frozenset[Pair]:
@@ -103,7 +108,7 @@ class Poset:
 
     def members(self, mask: int) -> tuple[str, ...]:
         """The elements whose bits are set in `mask`, in element order."""
-        return tuple(self.elements[i] for i in bits(mask))
+        return tuple([self.elements[i] for i in bits(mask)])
 
     def leq(self, x: str, y: str) -> bool:
         idx = self.index
@@ -135,10 +140,12 @@ class Poset:
         return frozenset(self.members(self.up_masks[idx[x]] & self.down_masks[idx[y]]))
 
     def minimals(self) -> tuple[str, ...]:
-        return tuple(x for i, x in enumerate(self.elements) if self.down_masks[i] == 1 << i)
+        down = self.down_masks
+        return tuple([x for i, x in enumerate(self.elements) if down[i] == 1 << i])
 
     def maximals(self) -> tuple[str, ...]:
-        return tuple(x for i, x in enumerate(self.elements) if self.up_masks[i] == 1 << i)
+        up = self.up_masks
+        return tuple([x for i, x in enumerate(self.elements) if up[i] == 1 << i])
 
     def _bound(self, xs: Iterable[str], side: int) -> str | None:
         """The point whose down-set (side 0) or up-set (side 1) is the
@@ -212,11 +219,11 @@ class Poset:
                 m ^= low
                 u |= new_bit[low]
             up.append(u)
-        return Poset(tuple(self.elements[i] for i in kept), tuple(up))
+        return Poset(tuple([self.elements[i] for i in kept]), tuple(up))
 
     def linear_extension(self) -> tuple[str, ...]:
         """Canonical linear extension: by downset size, then input order."""
-        return tuple(self.elements[i] for i in self._extension)
+        return tuple([self.elements[i] for i in self._extension])
 
 
 def order_violation(
@@ -281,7 +288,7 @@ class MonotoneMap:
 
 
 def make_monotone_map(dom: Poset, cod: Poset, mapping: dict[str, str]) -> MonotoneMap:
-    return MonotoneMap(dom, cod, tuple((x, mapping[x]) for x in dom.elements))
+    return MonotoneMap(dom, cod, tuple([(x, mapping[x]) for x in dom.elements]))
 
 
 def validate_monotone_map(
@@ -538,6 +545,7 @@ def search_maps(
     dom_inv: dict[str, str] | None = None,
     cod_inv: dict[str, str] | None = None,
     injective: bool = False,
+    budget: int | None = None,
 ) -> Iterator[dict[str, str]]:
     """Every monotone map dom -> cod meeting the constraints, as a dict.
 
@@ -547,8 +555,9 @@ def search_maps(
     a point to the given candidates.  With both involutions given, each
     point is assigned together with its involute (fixed points only to
     fixed points), so every map commutes with them.  `injective` rejects
-    repeated values.  Backtracking keeps an explicit stack, so deep
-    domains do not hit the recursion limit.
+    repeated values.  `budget` bounds the nodes, the values tried:
+    one more raises SizeGuardError.  Backtracking keeps an explicit
+    stack, so deep domains do not hit the recursion limit.
     """
     ext = dom._extension
     n = len(ext)
@@ -575,6 +584,7 @@ def search_maps(
     val = [-1] * n
     assigned = 0  # points with a value
     used = 0  # values taken, kept only when injective
+    left = -1 if budget is None else budget + 1  # nodes left; never 0 unbounded
 
     def options(i: int) -> int:
         m = cand[i] & ~used
@@ -608,6 +618,9 @@ def search_maps(
         if not m:
             stack.pop()
             continue
+        left -= 1
+        if not left:
+            raise SizeGuardError(f"search exceeded its budget of {budget} nodes")
         low = m & -m
         frame[1] = m ^ low
         j = low.bit_length() - 1

@@ -239,7 +239,7 @@ def classify(q, variety: str) -> UnifClassification:
         include = make_inv_morphism
 
     if finitary:
-        members = tuple(include(p, q, {z: z for z in p.elements}) for p in pieces)
+        members = tuple([include(p, q, {z: z for z in p.elements}) for p in pieces])
         return UnifClassification(True, FINITARY, MuSet(members), core)
     anchors = find_null_pattern(struct, family)
     if anchors is None:

@@ -5,7 +5,10 @@ the library: it lists all maps in the order the library's search yields
 them.  The Boolean-cube embedding and its retraction oracle serve the
 bdl half of the projectivity agreement check.  `greedy_pruned_vectors`
 is the plain form of the embedding's column pruning and
-`reference_columns` its form by DIAMOND order lookup, and the null-pattern
+`reference_columns` its form by DIAMOND order lookup; `scan_columns`,
+`materialised_embedding` and `materialised_retraction` are the
+embedding and retraction on a built power of DIAMOND, checked against
+its whole order, that the digit-vector forms replaced.  The null-pattern
 finder and verifier state each nullarity family clause by clause;
 `search_maps_find_null_pattern` is the pattern-table search that builds
 every cover-respecting match before it tests the clause.  The
@@ -20,9 +23,19 @@ only those at minimal points, and name the nullary family the same way.
 
 import functools
 import itertools
+import json
 
 from morgan_unify import PreconditionError, SizeGuardError, ValidationError
-from morgan_unify.involutive import DIAMOND, InvPoset, make_invposet
+from morgan_unify.documents import jsonable
+from morgan_unify.involutive import (
+    DIAMOND,
+    InvMorphism,
+    InvPoset,
+    kleene_part,
+    make_inv_morphism,
+    make_invposet,
+    power,
+)
 from morgan_unify.order import (
     MonotoneMap,
     Poset,
@@ -33,7 +46,7 @@ from morgan_unify.order import (
     search_maps,
     validate_poset,
 )
-from morgan_unify.projectivity import condition_report
+from morgan_unify.projectivity import REQUIRED, condition_report, is_projective_dual
 from morgan_unify.unification import (
     FINITARY,
     NULLARY,
@@ -187,6 +200,164 @@ def greedy_pruned_vectors(p: InvPoset) -> dict[str, str]:
             kept = trial
         i -= 1
     return {x: "".join(c[x] for c in kept) for x in p.elements}
+
+
+def scan_columns(p: InvPoset, prune: bool) -> list[int]:
+    """The embedding's kept columns, pruned by rescanning every pair's
+    mask of separating columns for each column trial."""
+    if not p.elements:
+        raise PreconditionError("cannot embed the empty involutive poset")
+    n = len(p.elements)
+    if not prune:
+        return list(range(n))
+    up = p.base.up_masks
+    inv_up = [up[p.base.index[p.i(x)]] for x in p.elements]
+    separating = [
+        (up[y] & ~up[x]) | (inv_up[x] & ~inv_up[y])
+        for x in range(n)
+        for y in range(n)
+        if not up[x] >> y & 1
+    ]
+    kept = (1 << n) - 1
+    for k in reversed(range(n)):
+        if kept.bit_count() == 1:
+            break
+        trial = kept & ~(1 << k)
+        if all(s & trial for s in separating):
+            kept = trial
+    return list(bits(kept))
+
+
+def materialised_check_embedding(
+    p: InvPoset, target: InvPoset, vectors: dict[str, str]
+) -> InvMorphism:
+    """The embedding contract checked as a morphism into the built power
+    `target`, then pair by pair for injectivity and order reflection."""
+    e = make_inv_morphism(p, target, vectors)
+    e.check()
+    seen: dict[str, str] = {}
+    for x in p.elements:
+        if vectors[x] in seen:
+            raise ValidationError(
+                f"embedding not injective: {seen[vectors[x]]!r} and {x!r}",
+                witness=x,
+            )
+        seen[vectors[x]] = x
+    for x in p.elements:
+        for y in p.elements:
+            if target.base.leq(vectors[x], vectors[y]) and not p.base.leq(x, y):
+                raise ValidationError(
+                    f"embedding not order-reflecting on ({x!r}, {y!r})",
+                    witness=(x, y),
+                )
+    return e
+
+
+def materialised_embedding(p: InvPoset, prune: bool = False) -> tuple[int, InvMorphism]:
+    """`canonical_embedding` as a morphism into the built power of DIAMOND,
+    with `scan_columns` and `materialised_check_embedding`."""
+    columns = scan_columns(p, prune)
+    if len(columns) > 6:
+        raise SizeGuardError(
+            f"embedding ambient D^{len(columns)} too large; prune or shrink the input"
+        )
+    n = len(columns)
+    up = p.base.up_masks
+    inv_up = [up[p.base.index[p.i(x)]] for x in p.elements]
+    vectors = {
+        x: "".join("1320"[2 * (up[k] >> q & 1) + (inv_up[k] >> q & 1)] for q in columns)
+        for k, x in enumerate(p.elements)
+    }
+    return n, materialised_check_embedding(p, power(DIAMOND, n), vectors)
+
+
+def materialised_retraction(
+    p: InvPoset, variety: str, embedding: tuple[int, InvMorphism] | None = None
+) -> InvMorphism:
+    """`build_retraction` on the built power of DIAMOND (or its Kleene
+    part), verified as a morphism against the power's whole order."""
+    if variety not in ("demorgan", "kleene"):
+        raise PreconditionError("build_retraction supports demorgan and kleene")
+    ok, report = is_projective_dual(p, variety)
+    if not ok:
+        failed = "; ".join(
+            f"{c} fails at {json.dumps(jsonable(report.witnesses.get(c)))}"
+            for c in REQUIRED[variety]
+            if not getattr(report, c)
+        )
+        raise PreconditionError(f"input is not projective for {variety}: {failed}")
+    n, e = embedding if embedding is not None else materialised_embedding(p)
+    if n > 6:
+        raise SizeGuardError(
+            f"retraction ambient D^{n} too large; pass a pruned embedding"
+        )
+    if len(e.cod) != 4**n:
+        raise PreconditionError(
+            f"embedding codomain has {len(e.cod)} points, not the {4**n} of D^{n}"
+        )
+    dom = kleene_part(e.cod) if variety == "kleene" else e.cod
+    image = {e(x): x for x in p.elements}
+    base = p.base
+
+    idx, image_mask = dom.base.index, dom.base.mask(image)
+
+    def originals_below(v: str) -> list[str]:
+        below = dom.base.down_masks[idx[v]] & image_mask
+        return [image[w] for w in dom.base.members(below)]
+
+    def originals_above(v: str) -> list[str]:
+        above = dom.base.up_masks[idx[v]] & image_mask
+        return [image[w] for w in dom.base.members(above)]
+
+    def fixed_between(lo: str | None, hi: str | None) -> str:
+        for y in p.fixed_points:
+            if lo is not None and not base.leq(lo, y):
+                continue
+            if hi is not None and not base.leq(y, hi):
+                continue
+            return y
+        raise ValidationError("no eligible fixed point; input not projective?")
+
+    mapping: dict[str, str] = {}
+    if variety == "demorgan":
+        for v in dom.elements:
+            if v in image:
+                mapping[v] = image[v]
+            elif dom.i(v) == v:
+                lo = base.join(originals_below(v))
+                hi = base.meet(originals_above(v))
+                mapping[v] = fixed_between(lo, hi)
+            else:
+                m = next(c for c in v if c in "23")
+                if m == "2":
+                    t = base.join(originals_below(v))
+                else:
+                    t = base.meet(originals_above(v))
+                assert t is not None
+                mapping[v] = t
+    else:
+        lower = [v for v in dom.elements if all(c in "201" for c in v)]
+        for v in lower:
+            if v in image:
+                mapping[v] = image[v]
+                continue
+            lo = base.join(originals_below(v))
+            if lo is None:
+                raise ValidationError(f"join of lower originals missing at {v!r}")
+            if dom.i(v) == v:
+                mapping[v] = fixed_between(lo, None)
+            else:
+                mapping[v] = lo
+        for v in dom.elements:
+            if v not in mapping:
+                mapping[v] = p.i(mapping[dom.i(v)])
+
+    r = make_inv_morphism(dom, p, mapping)
+    r.check()
+    for x in p.elements:
+        if r(e(x)) != x:
+            raise ValidationError(f"retraction does not fix {x!r}", witness=x)
+    return r
 
 
 #: each nullarity family's anchors in certificate order and its cover

@@ -1,9 +1,16 @@
-"""Hypothesis strategies shared across the suite."""
+"""Hypothesis strategies and fixed structures shared across the suite."""
 
 from hypothesis import strategies as st
 
-from morgan_unify import validate_poset
+from morgan_unify import validate_involutive, validate_poset
 from morgan_unify.involutive import involutions_of, make_invposet
+
+
+def reversed_chain(k):
+    """The k-chain c0 < ... < c(k-1) with the order-reversing involution."""
+    names = [f"c{i}" for i in range(k)]
+    base = validate_poset(names, list(zip(names, names[1:])))
+    return validate_involutive(base, dict(zip(names, reversed(names))))
 
 
 @st.composite

@@ -24,9 +24,12 @@ from morgan_unify import (
     is_projective_dual,
     is_solvable,
     join_irreducibles,
+    kleene_part,
     lattice_report,
     more_general,
     oracle_retraction_search,
+    power,
+    validate_inv_morphism,
     verify_null_pattern,
     witness_family,
 )
@@ -139,11 +142,14 @@ def test_criterion_4_constructive_retractions():
                 continue
             if not is_projective_dual(iv, variety)[0]:
                 continue
-            emb = canonical_embedding(iv)
-            r = build_retraction(iv, variety, embedding=emb)
-            r.check()
+            n, vectors = canonical_embedding(iv)
+            r = build_retraction(iv, variety, embedding=(n, vectors))
+            ambient = power(DIAMOND, n)
+            if variety == "kleene":
+                ambient = kleene_part(ambient)
+            validate_inv_morphism(ambient, iv, r)
             for x in iv.elements:
-                assert r(emb[1](x)) == x
+                assert r[vectors[x]] == x
             built += 1
     assert built > 0
     report(4, started, 60, f"{built} retractions built and verified")

@@ -4,13 +4,24 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
-from morgan_unify import validate_involutive, validate_poset
-from morgan_unify.cli import run_cli
+from morgan_unify import (
+    DIAMOND,
+    kleene_part,
+    power,
+    product,
+    validate_involutive,
+    validate_poset,
+)
+from morgan_unify.cli import build_parser, run_cli
+from morgan_unify.gallery import m1_pattern_instance
 from morgan_unify.documents import dumps, loads, structure_document
 from morgan_unify.involutive import mirror_covers
+
+from strategies import reversed_chain
 
 GOLDENS = [
     "diamond.json",
@@ -35,6 +46,26 @@ PINNED_ORACLE = json.loads(
         encoding="utf-8"
     )
 )
+
+
+#: stdout and exit code of embed and retract on every involutive golden
+#: and on four catalog products, recorded while both still built the
+#: power of DIAMOND they map into
+RETRACT_OUTPUTS = json.loads(
+    (pathlib.Path(__file__).parent / "retract_outputs.json").read_text(
+        encoding="utf-8"
+    )
+)
+
+
+CATALOG = {
+    "D^1xC_9": lambda: product(DIAMOND, reversed_chain(9), sep="."),
+    "K(D^1xC_5)": lambda: kleene_part(product(DIAMOND, reversed_chain(5), sep=".")),
+    "m1xD": lambda: product(m1_pattern_instance(), DIAMOND, sep="."),
+    "K(D^3xC_2)": lambda: kleene_part(
+        product(power(DIAMOND, 3), reversed_chain(2), sep=".")
+    ),
+}
 
 
 @pytest.fixture()
@@ -222,6 +253,17 @@ class TestOtherCommands:
         }
         assert built == []
 
+    def test_oracle_node_budget(self, data_dir, cli):
+        # m1_pattern's pruned embedding has dimension 4, within the guard,
+        # but the search under dm runs for minutes without its budget
+        started = time.perf_counter()
+        code, out = cli(
+            ["oracle", str(data_dir / "m1_pattern.json"), "--check", "retraction"]
+        )
+        assert time.perf_counter() - started < 5
+        assert code == 4
+        assert json.loads(out) == {"error": "search exceeded its budget of 20000 nodes"}
+
     def test_oracle_unifier_count(self, data_dir, cli):
         code, out = cli(
             ["oracle", str(data_dir / "antichain2.json"), "--check", "unifiers",
@@ -277,6 +319,64 @@ class TestPipelines:
         code, out = cli(["classify", "-", "--variety", variety], stdin_text=doc)
         assert code == 0
         assert json.loads(out)["type"] == "unitary"
+
+
+@pytest.mark.parametrize("case", list(RETRACT_OUTPUTS))
+def test_embed_and_retract_pinned_without_a_power(case, data_dir, cli, monkeypatch):
+    # byte-identical output, and no power or product of involutive posets
+    # built on the way
+    import morgan_unify
+    from morgan_unify import cli as cli_module, involutive, projectivity
+
+    target, command, *rest = case.split()
+    if target in CATALOG:
+        source, text = "-", dumps(structure_document(CATALOG[target]()))
+    else:
+        source, text = str(data_dir / target), None
+    argv = [command, source]
+    if command == "retract":
+        argv += ["--variety", rest.pop(0)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a power of DIAMOND was built")
+
+    for module in (morgan_unify, cli_module, involutive, projectivity):
+        for name in ("power", "product"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    code, out = cli(argv + rest, text)
+    assert (code, out) == (RETRACT_OUTPUTS[case]["exit"], RETRACT_OUTPUTS[case]["stdout"])
+
+
+class TestParser:
+    SEQUENCE = [
+        ["retract", "diamond.json", "--variety", "dm", "--prune"],
+        ["embed", "diamond.json"],
+        ["oracle", "antichain2.json", "--check", "unifiers", "--bound", "1"],
+        ["oracle", "antichain2.json", "--check", "unifiers"],
+        ["classify", "crown.json", "--variety", "bdl"],
+        ["projective", "antichain2_swap.json", "--variety", "dm"],
+        ["free", "--variety", "kleene", "--n", "1"],
+    ]
+
+    def test_reused_parser_matches_a_fresh_one(self, data_dir, cli, capsys):
+        for argv in self.SEQUENCE:
+            argv = [str(data_dir / a) if a.endswith(".json") else a for a in argv]
+            got = cli(argv)
+            args = build_parser().parse_args(argv)
+            code = args.fn(args)
+            assert got == (code, capsys.readouterr().out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["nope"], ["embed"], ["retract", "x.json"], ["free", "--variety", "dm", "--n", "two"]],
+    )
+    def test_usage_error_exits_two(self, argv, cli, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        assert "usage: morgan-unify" in capsys.readouterr().err
+        assert cli(["free", "--variety", "dm", "--n", "0"])[0] == 0
 
 
 def test_console_entry_point():

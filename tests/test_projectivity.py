@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -5,6 +7,7 @@ from morgan_unify import (
     DIAMOND,
     PreconditionError,
     SizeGuardError,
+    ValidationError,
     build_retraction,
     canonical_embedding,
     condition_report,
@@ -13,20 +16,33 @@ from morgan_unify import (
     kleene_part,
     oracle_retraction_search,
     power,
+    product,
     validate_inv_morphism,
     validate_involutive,
     validate_poset,
 )
+from morgan_unify.gallery import m3_pattern_instance
 from morgan_unify.involutive import make_inv_morphism
+from morgan_unify.projectivity import (
+    DIGITS,
+    _check_embedding,
+    _columns,
+    _cover_steps,
+    _vector_names,
+)
 
 from reference import (
     cube_embedding,
     greedy_pruned_vectors,
     m3_fast_path,
+    materialised_check_embedding,
+    materialised_embedding,
+    materialised_retraction,
     oracle_poset_retraction,
     reference_columns,
+    scan_columns,
 )
-from strategies import invposets
+from strategies import invposets, reversed_chain
 
 
 def three_chain():
@@ -80,17 +96,17 @@ class TestDeciders:
 class TestCanonicalEmbedding:
     def test_fixed_point(self, point):
         n, e = canonical_embedding(point)
-        assert n == 1 and e.as_dict == {"p": "0"}
+        assert n == 1 and e == {"p": "0"}
 
     def test_diamond_prunes_to_identity_coordinate(self, diamond):
         n, e = canonical_embedding(diamond, prune=True)
         assert n == 1
-        assert e.as_dict == {x: x for x in diamond.elements}
+        assert e == {x: x for x in diamond.elements}
 
     def test_antichain_swap_coordinates(self, antichain_swap):
         n, e = canonical_embedding(antichain_swap, prune=True)
         assert n == 2
-        assert e.as_dict == {"a": "23", "b": "32"}
+        assert e == {"a": "23", "b": "32"}
 
     def test_pruning_matches_greedy_reference(self, invposets_upto_6, pattern_instances):
         def vectors(iv, columns):
@@ -99,15 +115,15 @@ class TestCanonicalEmbedding:
         for iv in enumerate_invposets_upto(4):
             if iv.elements:
                 n, e = canonical_embedding(iv, prune=True)
-                assert e.as_dict == greedy_pruned_vectors(iv)
-                assert n == len(e(iv.elements[0]))
-                unpruned = canonical_embedding(iv)[1].as_dict
+                assert e == greedy_pruned_vectors(iv)
+                assert n == len(e[iv.elements[0]])
+                unpruned = canonical_embedding(iv)[1]
                 assert unpruned == vectors(iv, reference_columns(iv, prune=False))
         # the separating masks against the columns found by DIAMOND lookup
         for iv in [*invposets_upto_6, *pattern_instances.values()]:
             if iv.elements:
                 _, e = canonical_embedding(iv, prune=True)
-                assert e.as_dict == vectors(iv, reference_columns(iv, prune=True))
+                assert e == vectors(iv, reference_columns(iv, prune=True))
 
     def test_unpruned_dimension_is_carrier_size(self, diamond):
         n, _ = canonical_embedding(diamond)
@@ -121,38 +137,44 @@ class TestCanonicalEmbedding:
     @given(invposets(max_size=4))
     @settings(max_examples=40, deadline=None)
     def test_contract_holds(self, iv):
-        n, e = canonical_embedding(iv, prune=True)
-        e.check()
-        vectors = e.as_dict
+        n, vectors = canonical_embedding(iv, prune=True)
+        ambient = power(DIAMOND, n)
+        validate_inv_morphism(iv, ambient, vectors)
         assert len(set(vectors.values())) == len(iv.elements)
         for x in iv.elements:
             for y in iv.elements:
-                if e.cod.base.leq(vectors[x], vectors[y]):
+                if ambient.base.leq(vectors[x], vectors[y]):
                     assert iv.base.leq(x, y)
 
 
 class TestBuildRetraction:
     def test_chain_in_diamond(self):
         ch = three_chain()
-        emb = (1, validate_inv_morphism(ch, DIAMOND, {"2": "2", "0": "0", "3": "3"}))
-        r = build_retraction(ch, "demorgan", embedding=emb)
-        assert r.as_dict == {"0": "0", "1": "0", "2": "2", "3": "3"}
+        vectors = {"2": "2", "0": "0", "3": "3"}
+        validate_inv_morphism(ch, DIAMOND, vectors)
+        r = build_retraction(ch, "demorgan", embedding=(1, vectors))
+        validate_inv_morphism(DIAMOND, ch, r)
+        assert r == {"0": "0", "1": "0", "2": "2", "3": "3"}
 
     def test_diamond_identity(self, diamond):
-        ident = make_inv_morphism(diamond, DIAMOND, {x: x for x in diamond.elements})
+        ident = {x: x for x in diamond.elements}
         r = build_retraction(diamond, "demorgan", embedding=(1, ident))
-        assert r.is_identity()
+        assert validate_inv_morphism(DIAMOND, diamond, r).is_identity()
 
     def test_point_constant(self, point):
-        emb = (1, validate_inv_morphism(point, DIAMOND, {"p": "0"}))
-        r = build_retraction(point, "demorgan", embedding=emb)
-        assert set(r.as_dict.values()) == {"p"}
+        vectors = {"p": "0"}
+        validate_inv_morphism(point, DIAMOND, vectors)
+        r = build_retraction(point, "demorgan", embedding=(1, vectors))
+        validate_inv_morphism(DIAMOND, point, r)
+        assert set(r.values()) == {"p"}
 
     def test_kleene_variant(self):
         ch = three_chain()
-        emb = (1, validate_inv_morphism(ch, DIAMOND, {"2": "2", "0": "0", "3": "3"}))
-        r = build_retraction(ch, "kleene", embedding=emb)
-        assert r.as_dict == {"0": "0", "1": "0", "2": "2", "3": "3"}
+        vectors = {"2": "2", "0": "0", "3": "3"}
+        validate_inv_morphism(ch, DIAMOND, vectors)
+        r = build_retraction(ch, "kleene", embedding=(1, vectors))
+        validate_inv_morphism(kleene_part(DIAMOND), ch, r)
+        assert r == {"0": "0", "1": "0", "2": "2", "3": "3"}
 
     def test_rejects_non_projective(self, antichain_swap):
         with pytest.raises(PreconditionError):
@@ -164,15 +186,157 @@ class TestBuildRetraction:
             build_retraction(diamond, "demorgan", embedding=(n + 1, e))
 
     def test_retraction_composes_to_identity(self, diamond):
-        emb = canonical_embedding(diamond)
-        r = build_retraction(diamond, "demorgan", embedding=emb)
+        n, vectors = canonical_embedding(diamond)
+        r = build_retraction(diamond, "demorgan", embedding=(n, vectors))
+        validate_inv_morphism(power(DIAMOND, n), diamond, r)
         for x in diamond.elements:
-            assert r(emb[1](x)) == x
+            assert r[vectors[x]] == x
+
+
+def varieties(iv):
+    return ("demorgan", "kleene") if iv.is_kleene else ("demorgan",)
+
+
+def agree_with_materialised(iv, prune):
+    """Require the digit-vector embedding and retractions to equal the
+    materialised ones, in the same order, or both to refuse alike;
+    returns the number of retractions compared."""
+    try:
+        ref = materialised_embedding(iv, prune)
+    except SizeGuardError as exc:
+        with pytest.raises(SizeGuardError, match=re.escape(str(exc))):
+            canonical_embedding(iv, prune)
+        return 0
+    assert _columns(iv, prune) == scan_columns(iv, prune)
+    n, vectors = canonical_embedding(iv, prune)
+    assert (n, list(vectors.items())) == (ref[0], list(ref[1].mapping))
+    built = 0
+    for variety in varieties(iv):
+        try:
+            want = materialised_retraction(iv, variety, ref)
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+                build_retraction(iv, variety, (n, vectors))
+            continue
+        got = build_retraction(iv, variety, (n, vectors))
+        assert list(got.items()) == list(want.mapping)
+        built += 1
+    return built
+
+
+def one_digit_changes(iv, vectors):
+    """Every embedding that moves one point's vector by one digit, alone
+    and with its involute's vector moved to match."""
+    for x, v in vectors.items():
+        for c in range(len(v)):
+            for d in DIGITS:
+                if d != v[c]:
+                    w = v[:c] + d + v[c + 1 :]
+                    yield {**vectors, x: w}
+                    if iv.i(x) != x:
+                        swapped = w.translate(str.maketrans("23", "32"))
+                        yield {**vectors, x: w, iv.i(x): swapped}
+
+
+class TestDigitVectorsAgainstMaterialised:
+    """The embedding and retraction on digit vectors against the old
+    routines on a built power of DIAMOND."""
+
+    def test_small_corpus(self, invposets_upto_6):
+        built = 0
+        for iv in invposets_upto_6:
+            if 1 <= len(iv.elements) <= 5:
+                for prune in (False, True):
+                    built += agree_with_materialised(iv, prune)
+        assert built == 22  # 11 retractions, pruned and unpruned
+
+    def test_gallery(self, pattern_instances):
+        for iv in [*pattern_instances.values(), m3_pattern_instance()]:
+            for prune in (False, True):
+                agree_with_materialised(iv, prune)
+
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("D^1xC_9", lambda: product(DIAMOND, reversed_chain(9), sep=".")),
+            (
+                "K(D^1xC_5)",
+                lambda: kleene_part(product(DIAMOND, reversed_chain(5), sep=".")),
+            ),
+            ("D^2xC_3", lambda: product(power(DIAMOND, 2), reversed_chain(3), sep=".")),
+            ("K(D^3)", lambda: kleene_part(power(DIAMOND, 3))),
+        ],
+    )
+    def test_catalog_products(self, name, build):
+        assert agree_with_materialised(build(), prune=True) >= 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cover_steps_generate_the_ambient_orders(self, n):
+        names = _vector_names(n)
+        ambient = power(DIAMOND, n)
+        assert names == list(ambient.elements)
+        steps = [(names[k], names[j]) for k, j in _cover_steps(n)]
+        assert sorted(steps) == sorted(ambient.base.covers())
+        assert validate_poset(names, steps).up_masks == ambient.base.up_masks
+        # inside the Kleene part, the steps between its own vectors
+        k_part = kleene_part(ambient)
+        inside = set(k_part.elements)
+        kept = [(a, b) for a, b in steps if a in inside and b in inside]
+        assert validate_poset(k_part.elements, kept).up_masks == k_part.base.up_masks
+
+    def test_embedding_check_agrees_on_broken_vectors(self, invposets_upto_6):
+        verdicts = []
+        for iv in invposets_upto_6:
+            if not 1 <= len(iv.elements) <= 4:
+                continue
+            n, vectors = canonical_embedding(iv, prune=True)
+            target = power(DIAMOND, n)
+            for broken in one_digit_changes(iv, vectors):
+                try:
+                    materialised_check_embedding(iv, target, broken)
+                    ok = True
+                except ValidationError:
+                    ok = False
+                verdicts.append(ok)
+                if ok:
+                    _check_embedding(iv, broken)
+                else:
+                    with pytest.raises(ValidationError):
+                        _check_embedding(iv, broken)
+        assert (verdicts.count(True), verdicts.count(False)) == (86, 754)
+
+    def test_retraction_check_agrees_on_broken_embeddings(self, invposets_upto_6):
+        refused = 0
+        for iv in invposets_upto_6:
+            if not 1 <= len(iv.elements) <= 4:
+                continue
+            n, vectors = canonical_embedding(iv, prune=True)
+            target = power(DIAMOND, n)
+            for variety in varieties(iv):
+                if not is_projective_dual(iv, variety)[0]:
+                    continue
+                for broken in one_digit_changes(iv, vectors):
+                    e = make_inv_morphism(iv, target, broken)
+                    try:
+                        want = materialised_retraction(iv, variety, (n, e))
+                    except (ValidationError, AssertionError) as exc:
+                        # the old body asserted where the library raises;
+                        # on a vector shared by two points it kept one
+                        # original, where the library reads both
+                        refused += 1
+                        injective = len(set(broken.values())) == len(broken)
+                        message = re.escape(str(exc)) if injective else None
+                        with pytest.raises(ValidationError, match=message):
+                            build_retraction(iv, variety, (n, broken))
+                        continue
+                    got = build_retraction(iv, variety, (n, broken))
+                    assert list(got.items()) == list(want.mapping)
+        assert refused == 64
 
 
 class TestOracle:
     def test_diamond_identity_found(self, diamond):
-        ident = make_inv_morphism(diamond, DIAMOND, {x: x for x in diamond.elements})
+        ident = {x: x for x in diamond.elements}
         found = oracle_retraction_search(diamond, embedding=(1, ident))
         assert found is not None and found.is_identity()
 
@@ -182,8 +346,9 @@ class TestOracle:
 
     def test_chain_finds_valid_retraction(self):
         ch = three_chain()
-        emb = (1, validate_inv_morphism(ch, DIAMOND, {"2": "2", "0": "0", "3": "3"}))
-        found = oracle_retraction_search(ch, embedding=emb)
+        vectors = {"2": "2", "0": "0", "3": "3"}
+        validate_inv_morphism(ch, DIAMOND, vectors)
+        found = oracle_retraction_search(ch, embedding=(1, vectors))
         assert found is not None
         found.check()
         for x in ch.elements:

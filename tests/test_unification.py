@@ -46,7 +46,7 @@ from reference import (
     reference_verify_null_pattern,
     search_maps_find_null_pattern,
 )
-from strategies import invposets
+from strategies import invposets, reversed_chain
 
 
 class TestSolvability:
@@ -439,12 +439,6 @@ def grid(a, b):
     covers = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(a - 1) for j in range(b)]
     covers += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(a) for j in range(b - 1)]
     return validate_poset(names, covers)
-
-
-def reversed_chain(k):
-    """The k-chain with the order-reversing involution."""
-    base = chain(k)
-    return validate_involutive(base, dict(zip(base.elements, reversed(base.elements))))
 
 
 class TestPatternSearchAgainstSearchMaps:

@@ -12,7 +12,7 @@ from itertools import product as cartesian
 from typing import Iterator
 
 from .errors import ValidationError
-from .order import Pair, Poset, antitone_violation, search_maps
+from .order import Pair, Poset, antitone_violation, lattice_report, search_maps
 
 TAG_BDL = "bounded-distributive"
 TAG_DEMORGAN = "de-morgan"
@@ -119,15 +119,15 @@ def validate_algebra(carrier: Poset, neg: dict[str, str] | None = None) -> Finit
         x = carrier.elements[0]
         neg = {x: x}
 
-    elems = carrier.elements
-    for a in elems:
-        for b in elems:
-            if carrier.join((a, b)) is None or carrier.meet((a, b)) is None:
-                raise ValidationError(
-                    f"carrier is not a lattice: pair ({a!r}, {b!r}) lacks a bound",
-                    witness=(a, b),
-                )
+    report = lattice_report(carrier)
+    if not report.is_nonempty_lattice:
+        a, b = report.witness
+        raise ValidationError(
+            f"carrier is not a lattice: pair ({a!r}, {b!r}) lacks a bound",
+            witness=(a, b),
+        )
 
+    elems = carrier.elements
     join = {p: carrier.join(p) for p in cartesian(elems, repeat=2)}
     meet = {p: carrier.meet(p) for p in cartesian(elems, repeat=2)}
     for a in elems:

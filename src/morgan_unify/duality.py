@@ -18,40 +18,25 @@ from .algebra import (
 )
 from .errors import PreconditionError, ValidationError
 from .involutive import InvMorphism, InvPoset, make_inv_morphism, validate_involutive
-from .order import MonotoneMap, Poset, make_monotone_map
+from .order import MonotoneMap, Poset, bits, downset_masks, make_monotone_map
 
 
-def _downset_name(p: Poset, xs: frozenset[str]) -> str:
-    ordered = [x for x in p.elements if x in xs]
-    return "{" + ",".join(ordered) + "}"
+def _downset_name(p: Poset, mask: int) -> str:
+    return "{" + ",".join(p.members(mask)) + "}"
 
 
-def _all_downsets(p: Poset) -> list[frozenset[str]]:
-    """All downsets of p, in a deterministic (size, name) order."""
-    seen: set[int] = set()
-    frontier = [0]
-    while frontier:
-        current = frontier.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        for i, down in enumerate(p.down_masks):
-            # x = elements[i] is addable when all of its down-set but x is in
-            if down & ~current == 1 << i:
-                frontier.append(current | 1 << i)
-    downsets = [frozenset(p.members(m)) for m in seen]
-    return sorted(downsets, key=lambda s: (len(s), _downset_name(p, s)))
+def _downset_lattice(p: Poset) -> tuple[list[int], Poset]:
+    """The down-set masks of p in (size, name) order, and the poset of
+    their names ordered by inclusion."""
+    names = {d: _downset_name(p, d) for d in downset_masks(p)}
+    masks = sorted(names, key=lambda d: (d.bit_count(), names[d]))
+    up = [sum(1 << k for k, e in enumerate(masks) if not d & ~e) for d in masks]
+    return masks, Poset(tuple([names[d] for d in masks]), tuple(up))
 
 
 def downset_algebra(p: Poset) -> FiniteAlgebra:
     """Downsets of p ordered by inclusion; distributive by construction."""
-    downs = _all_downsets(p)
-    names = [_downset_name(p, s) for s in downs]
-    by_name = dict(zip(names, downs))
-    le = frozenset(
-        (a, b) for a in names for b in names if by_name[a] <= by_name[b]
-    )
-    return trusted_algebra(Poset.from_pairs(names, le), None)
+    return trusted_algebra(_downset_lattice(p)[1], None)
 
 
 def join_irreducibles(a: FiniteAlgebra) -> Poset:
@@ -94,19 +79,15 @@ def demorgan_dual(a: FiniteAlgebra) -> InvPoset:
 
 def demorgan_from_dual(p: InvPoset) -> FiniteAlgebra:
     """De Morgan algebra of downsets of p with X' = carrier minus i(X)."""
-    downs = _all_downsets(p.base)
-    names = [_downset_name(p.base, s) for s in downs]
-    by_name = dict(zip(names, downs))
-    carrier_all = frozenset(p.elements)
+    base = p.base
+    masks, carrier = _downset_lattice(base)
+    mate = [1 << base.index[p.i(x)] for x in base.elements]
+    full = (1 << len(mate)) - 1
     neg = {}
-    for nm, s in by_name.items():
-        image = frozenset(p.i(x) for x in s)
-        neg_set = carrier_all - image
-        neg[nm] = _downset_name(p.base, neg_set)
-    le = frozenset(
-        (a, b) for a in names for b in names if by_name[a] <= by_name[b]
-    )
-    return trusted_algebra(Poset.from_pairs(names, le), neg)
+    for d, name in zip(masks, carrier.elements):
+        image = sum(mate[i] for i in bits(d))
+        neg[name] = _downset_name(base, full & ~image)
+    return trusted_algebra(carrier, neg)
 
 
 def dual_of_hom(h: Homomorphism) -> MonotoneMap | InvMorphism:
@@ -146,10 +127,11 @@ def hom_of_map(f: MonotoneMap | InvMorphism) -> Homomorphism:
         dom_p, cod_p = f.dom, f.cod
         alg_dom = downset_algebra(cod_p)
         alg_cod = downset_algebra(dom_p)
+    image = [cod_p.index[f(x)] for x in dom_p.elements]
     mapping = {}
-    for xs in _all_downsets(cod_p):
-        preimage = frozenset(x for x in dom_p.elements if f(x) in xs)
-        mapping[_downset_name(cod_p, xs)] = _downset_name(dom_p, preimage)
+    for d in downset_masks(cod_p):
+        preimage = sum(1 << k for k, j in enumerate(image) if d >> j & 1)
+        mapping[_downset_name(cod_p, d)] = _downset_name(dom_p, preimage)
     return make_homomorphism(alg_dom, alg_cod, mapping)
 
 
@@ -159,7 +141,7 @@ def canonical_iso(a: FiniteAlgebra) -> Homomorphism:
     double = downset_algebra(ji)
     mapping = {}
     for x in a.elements:
-        below = frozenset(j for j in ji.elements if a.carrier.leq(j, x))
+        below = sum(1 << k for k, j in enumerate(ji.elements) if a.carrier.leq(j, x))
         mapping[x] = _downset_name(ji, below)
     return make_homomorphism(a, double, mapping)
 

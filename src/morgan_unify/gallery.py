@@ -8,7 +8,7 @@ in its variety with the certificate family it illustrates.
 from __future__ import annotations
 
 from .algebra import FiniteAlgebra, validate_algebra
-from .involutive import InvPoset, mirror_covers, validate_involutive
+from .involutive import InvPoset, mirror_closure, validate_involutive
 from .order import Poset, validate_poset
 
 
@@ -35,15 +35,6 @@ def free_demorgan_one() -> FiniteAlgebra:
     )
 
 
-def _mirror_closure(lower_covers, fixed, swapped):
-    """Covers plus their involution mirrors, and the involution map."""
-    inv = {v: v for v in fixed}
-    for v in swapped:
-        inv[v] = "~" + v
-        inv["~" + v] = v
-    return mirror_covers(lower_covers, inv), inv
-
-
 def k1_pattern_instance() -> InvPoset:
     """Kleene instance realizing the meet-failure pattern: a, b below the
     incomparable c, d which reach fixed points y, z."""
@@ -53,7 +44,7 @@ def k1_pattern_instance() -> InvPoset:
         ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"),
         ("c", "y"), ("d", "z"),
     ]
-    covers, inv = _mirror_closure(lower, ["y", "z"], swapped)
+    covers, inv = mirror_closure(lower, ["y", "z"], swapped)
     elems = ["x", "a", "b", "c", "d", "y", "z", "~d", "~c", "~b", "~a", "~x"]
     return validate_involutive(validate_poset(elems, covers), inv)
 
@@ -67,7 +58,7 @@ def k2_pattern_instance() -> InvPoset:
         ("a", "d"), ("a", "e"), ("b", "d"), ("b", "f"), ("c", "e"), ("c", "f"),
         ("d", "y"), ("e", "z"), ("f", "w"),
     ]
-    covers, inv = _mirror_closure(lower, ["y", "z", "w"], swapped)
+    covers, inv = mirror_closure(lower, ["y", "z", "w"], swapped)
     elems = [
         "x", "a", "b", "c", "d", "e", "f", "y", "z", "w",
         "~f", "~e", "~d", "~c", "~b", "~a", "~x",
@@ -85,7 +76,7 @@ def m1_pattern_instance() -> InvPoset:
         ("x", "y"),
         ("c", "~x"), ("d", "~x"),
     ]
-    covers, inv = _mirror_closure(lower, ["y"], swapped)
+    covers, inv = mirror_closure(lower, ["y"], swapped)
     elems = ["x", "a", "b", "c", "d", "y", "~d", "~c", "~b", "~a", "~x"]
     return validate_involutive(validate_poset(elems, covers), inv)
 
@@ -95,7 +86,7 @@ def m2_pattern_instance() -> InvPoset:
     point above it, next to the fixed point b."""
     swapped = ["x", "a"]
     lower = [("x", "a"), ("x", "b"), ("a", "~a")]
-    covers, inv = _mirror_closure(lower, ["b"], swapped)
+    covers, inv = mirror_closure(lower, ["b"], swapped)
     elems = ["x", "a", "~a", "b", "~x"]
     return validate_involutive(validate_poset(elems, covers), inv)
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import permutations
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
@@ -20,7 +19,6 @@ from .order import (
     antitone_violation,
     bits,
     find_isomorphism,
-    order_violation,
     search_maps,
     validate_poset,
 )
@@ -76,6 +74,18 @@ class InvPoset:
 
 def make_invposet(base: Poset, inv: dict[str, str]) -> InvPoset:
     return InvPoset(base, tuple([(x, inv[x]) for x in base.elements]))
+
+
+def mirror_closure(
+    lower_covers: list[Pair], fixed: Iterable[str], swapped: Iterable[str]
+) -> tuple[list[Pair], dict[str, str]]:
+    """Covers plus their involution mirrors, and the involution map that
+    fixes `fixed` and swaps each v of `swapped` with ~v."""
+    inv = {v: v for v in fixed}
+    for v in swapped:
+        inv[v] = "~" + v
+        inv["~" + v] = v
+    return mirror_covers(lower_covers, inv), inv
 
 
 def mirror_covers(covers: list[Pair], inv: dict[str, str]) -> list[Pair]:
@@ -232,13 +242,15 @@ def find_inv_isomorphism(p: InvPoset, q: InvPoset) -> dict[str, str] | None:
 
 
 def involutions_of(p: Poset) -> Iterator[dict[str, str]]:
-    """All antitone involutions on p, in deterministic order."""
-    n = len(p.elements)
-    for perm in permutations(range(n)):
-        if any(perm[perm[i]] != i for i in range(n)):
-            continue
-        if order_violation(p, perm, p.down_masks) is None:
-            yield {p.elements[i]: p.elements[perm[i]] for i in range(n)}
+    """All antitone involutions on p, in deterministic order.
+
+    An injective monotone map from p to its dual, which has as many
+    pairs, is an isomorphism: an anti-automorphism of p.  The
+    involutions are the self-inverse ones.
+    """
+    for sigma in search_maps(p, p.dual(), injective=True):
+        if all(sigma[sigma[x]] == x for x in sigma):
+            yield sigma
 
 
 def enumerate_invposets_upto(

@@ -1,12 +1,15 @@
-"""Finite posets: validation, subposets, bounds, enumeration, isomorphism,
-and the one backtracking search for monotone maps between them.
+"""Finite posets: validation, subposets, bounds, down-sets, enumeration
+by growth, isomorphism, and the one backtracking search for monotone
+maps between them.
 
 Element identifiers are opaque strings; the `elements` tuple fixes the
 canonical iteration order used for all deterministic tie-breaking
 downstream.  The order is held as up-masks over element indices: bit j
 of `up_masks[i]` is set when elements[i] <= elements[j], so the stored
-relation is reflexive-transitively closed.  Down-masks, the mask-to-point
-index and the pair set `le` are views derived from the up-masks.
+relation is reflexive-transitively closed.  Down-masks and the
+mask-to-point index are views derived from the up-masks.  The small
+corpora grow one maximal point at a time, above each down-set of the
+classes one size smaller.
 
 Tuples built on every call are built from lists, not generators:
 tuple() over a generator allocates ten slots and then resizes, so the
@@ -25,10 +28,6 @@ from .errors import SizeGuardError, ValidationError
 
 Pair = tuple[str, str]
 
-#: counts of poset isomorphism classes by size, used as an enumeration oracle
-POSET_CLASS_COUNTS = (1, 1, 2, 5, 16, 63, 318)
-
-
 def bits(m: int) -> Iterator[int]:
     """The indices of the set bits of `m`, ascending."""
     while m:
@@ -45,17 +44,6 @@ class Poset:
     elements: tuple[str, ...]
     up_masks: tuple[int, ...]
 
-    @classmethod
-    def from_pairs(cls, elements: Iterable[str], le: Iterable[Pair]) -> "Poset":
-        """Trusted construction from a reflexive-transitively closed
-        relation; reflexive pairs may be left out.  Nothing is checked."""
-        elems = tuple(elements)
-        idx = {x: i for i, x in enumerate(elems)}
-        up = [1 << i for i in range(len(elems))]
-        for a, b in le:
-            up[idx[a]] |= 1 << idx[b]
-        return cls(elems, tuple(up))
-
     @cached_property
     def index(self) -> dict[str, int]:
         return {x: i for i, x in enumerate(self.elements)}
@@ -68,14 +56,6 @@ class Poset:
         # would take one step per pair of the relation
         rows = [format(u, f"0{n}b") for u in self.up_masks]
         return tuple([int("".join(col)[::-1], 2) for col in zip(*rows)])[::-1]
-
-    @cached_property
-    def le(self) -> frozenset[Pair]:
-        """The relation as (lower, upper) name pairs, reflexive pairs included."""
-        elems = self.elements
-        return frozenset(
-            (elems[i], elems[j]) for i, u in enumerate(self.up_masks) for j in bits(u)
-        )
 
     @cached_property
     def _mask_index(self) -> tuple[dict[int, int], dict[int, int]]:
@@ -474,40 +454,23 @@ def is_three_complete(p: Poset) -> tuple[bool, frozenset[str] | None]:
     return True, None
 
 
-def _transitive_masks(n: int) -> Iterator[tuple[int, ...]]:
-    """Successor bitmasks of all transitive strict orders refining 0<1<...<n-1."""
-    if n == 0:
-        yield ()
-        return
-    pairs = list(combinations(range(n), 2))
-    m = len(pairs)
-    for mask in range(1 << m):
-        succ = [0] * n
-        for k in range(m):
-            if mask >> k & 1:
-                i, j = pairs[k]
-                succ[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            si = succ[i]
-            rest = si
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if succ[j] & ~si:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield tuple(succ)
+def downset_masks(p: Poset) -> list[int]:
+    """The masks of all down-sets of p, ascending.
 
-
-def _poset_from_mask(succ: tuple[int, ...]) -> Poset:
-    return Poset(
-        tuple(str(i) for i in range(len(succ))),
-        tuple(s | 1 << i for i, s in enumerate(succ)),
-    )
+    A frontier walk from the empty set: a point may be added once the
+    rest of its down-set is in.
+    """
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        current = frontier.pop()
+        for i, down in enumerate(p.down_masks):
+            if down & ~current == 1 << i:
+                grown = current | 1 << i
+                if grown not in seen:
+                    seen.add(grown)
+                    frontier.append(grown)
+    return sorted(seen)
 
 
 def _degrees(p: Poset) -> list[tuple[int, int]]:
@@ -523,19 +486,32 @@ def _iso_signature(p: Poset):
 def enumerate_posets_upto(k: int) -> Iterator[Poset]:
     """All posets with at most k elements, one per isomorphism class.
 
-    Every poset has a linear extension, so classes are harvested from
-    orders refining a fixed linear order and deduplicated up to
-    isomorphism.  Deterministic output order.
+    Level n + 1 grows from the level-n representatives: each down-set D
+    of each one gets the new point str(n) as a maximal point above D.
+    Deleting a maximal point shows that every poset arises this way;
+    children are deduplicated up to isomorphism.  Element order is a
+    linear extension.  Deterministic output order.
     """
-    for n in range(k + 1):
+    if k < 0:
+        return
+    level = [Poset((), ())]
+    yield level[0]
+    for n in range(k):
+        top = 1 << n
+        name = (str(n),)
         buckets: dict[object, list[Poset]] = {}
-        for succ in _transitive_masks(n):
-            cand = _poset_from_mask(succ)
-            sig = _iso_signature(cand)
-            known = buckets.setdefault(sig, [])
-            if not any(find_isomorphism(cand, rep) is not None for rep in known):
-                known.append(cand)
-                yield cand
+        grown = []
+        for rep in level:
+            for d in downset_masks(rep):
+                up = [u | top if d >> i & 1 else u for i, u in enumerate(rep.up_masks)]
+                up.append(top)
+                cand = Poset(rep.elements + name, tuple(up))
+                known = buckets.setdefault(_iso_signature(cand), [])
+                if not any(find_isomorphism(cand, r) is not None for r in known):
+                    known.append(cand)
+                    grown.append(cand)
+                    yield cand
+        level = grown
 
 
 def search_maps(

@@ -21,7 +21,7 @@ from .involutive import (
     enumerate_inv_morphisms,
     enumerate_invposets_upto,
     make_inv_morphism,
-    mirror_covers,
+    mirror_closure,
     validate_involutive,
 )
 from .order import (
@@ -556,10 +556,6 @@ def _witness_k1(n: int) -> WitnessFamily:
     lower = ["bot"] + [str(j) for j in range(1, n + 1)] + [f"{j}.{k}" for j, k in pairs]
     diamonds = [f"{j}#{k}" for j, k in pairs]
     elems = lower + diamonds + [f"~{v}" for v in lower]
-    inv = {v: v for v in diamonds}
-    for v in lower:
-        inv[v] = f"~{v}"
-        inv[f"~{v}"] = v
     covers = [("bot", str(j)) for j in range(1, n + 1)]
     for j, k in pairs:
         covers += [
@@ -568,7 +564,8 @@ def _witness_k1(n: int) -> WitnessFamily:
             (f"{j}.{k}", f"{j}#{k}"),
             (f"{j}#{k}", f"~{j}.{k}"),
         ]
-    structure = validate_poset(elems, mirror_covers(covers, inv))
+    covers, inv = mirror_closure(covers, diamonds, lower)
+    structure = validate_poset(elems, covers)
     iv = validate_involutive(structure, inv)
     anchors = {"bot": "x"}
     for j in range(1, n + 1):
@@ -594,10 +591,6 @@ def _witness_k2(n: int) -> WitnessFamily:
         f"{j}.{k}#{k}.{j}" for j, k in upairs
     ]
     elems = lower + diamonds + [f"~{v}" for v in lower]
-    inv = {v: v for v in diamonds}
-    for v in lower:
-        inv[v] = f"~{v}"
-        inv[f"~{v}"] = v
     covers = []
     for j in rng:
         covers.append(("bot", str(j)))
@@ -614,7 +607,8 @@ def _witness_k2(n: int) -> WitnessFamily:
             (f"{k}.{j}", f"{j}.{k}o{k}.{j}"),
             (f"{j}.{k}o{k}.{j}", f"{j}.{k}#{k}.{j}"),
         ]
-    structure = validate_poset(elems, mirror_covers(covers, inv))
+    covers, inv = mirror_closure(covers, diamonds, lower)
+    structure = validate_poset(elems, covers)
     iv = validate_involutive(structure, inv)
     anchors = {"bot": "x"}
     for j in rng:
@@ -635,10 +629,6 @@ def _witness_m1(n: int) -> WitnessFamily:
     pairs = _odd_pairs(n)
     lower = ["bot"] + [str(j) for j in range(1, n + 1)] + [f"{j}.{k}" for j, k in pairs]
     elems = lower + ["0"] + [f"~{v}" for v in lower]
-    inv = {"0": "0"}
-    for v in lower:
-        inv[v] = f"~{v}"
-        inv[f"~{v}"] = v
     covers = [("bot", "0"), ("0", "~bot")]
     for j in range(1, n + 1):
         covers.append(("bot", str(j)))
@@ -655,7 +645,8 @@ def _witness_m1(n: int) -> WitnessFamily:
         # below the top half; attach them so T_n stays a lattice
         if j not in paired:
             covers.append((str(j), "~bot"))
-    structure = validate_poset(elems, mirror_covers(covers, inv))
+    covers, inv = mirror_closure(covers, ["0"], lower)
+    structure = validate_poset(elems, covers)
     iv = validate_involutive(structure, inv)
     anchors = {"bot": "x", "0": "y"}
     for j in range(1, n + 1):

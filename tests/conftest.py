@@ -67,6 +67,12 @@ def posets_upto_6():
 
 
 @pytest.fixture(scope="session")
+def posets_upto_7():
+    """One poset per isomorphism class, at most 7 points (2451 classes)."""
+    return list(enumerate_posets_upto(7))
+
+
+@pytest.fixture(scope="session")
 def invposets_upto_6(posets_upto_6):
     """One involutive poset per class, at most 6 points (124 classes)."""
     return list(enumerate_invposets_upto(6, posets_upto_6))

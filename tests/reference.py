@@ -1,5 +1,10 @@
 """Reference implementations the suite compares the library against.
 
+`transitive_masks` with `poset_from_mask` and `permutation_involutions`
+are the pair-subset and permutation walks the corpora were built with
+before they grew by maximal points; `le_pairs`, `from_pairs` and
+`POSET_CLASS_COUNTS` are test-side views and constructors of order.
+
 `ordered_brute_force` is the exhaustive oracle for every map search in
 the library: it lists all maps in the order the library's search yields
 them.  The Boolean-cube embedding and its retraction oracle serve the
@@ -37,12 +42,15 @@ from morgan_unify.involutive import (
     power,
 )
 from morgan_unify.order import (
+    _iso_signature,
     MonotoneMap,
     Poset,
     identity_map,
     lattice_report,
     bits,
+    find_isomorphism,
     make_monotone_map,
+    order_violation,
     search_maps,
     validate_poset,
 )
@@ -63,6 +71,77 @@ from morgan_unify.unification import (
     interval_structure,
     is_solvable,
 )
+
+
+#: counts of poset isomorphism classes by size (OEIS A000112)
+POSET_CLASS_COUNTS = (1, 1, 2, 5, 16, 63, 318, 2045)
+
+
+def le_pairs(p: Poset) -> frozenset[tuple[str, str]]:
+    """The relation as (lower, upper) name pairs, reflexive pairs included."""
+    elems = p.elements
+    return frozenset(
+        (elems[i], elems[j]) for i, u in enumerate(p.up_masks) for j in bits(u)
+    )
+
+
+def from_pairs(elements, le) -> Poset:
+    """Trusted construction from a reflexive-transitively closed
+    relation; reflexive pairs may be left out.  Nothing is checked."""
+    elems = tuple(elements)
+    idx = {x: i for i, x in enumerate(elems)}
+    up = [1 << i for i in range(len(elems))]
+    for a, b in le:
+        up[idx[a]] |= 1 << idx[b]
+    return Poset(elems, tuple(up))
+
+
+def transitive_masks(n: int):
+    """Successor bitmasks of all transitive strict orders refining
+    0<1<...<n-1, found by trying every subset of the pairs."""
+    if n == 0:
+        yield ()
+        return
+    pairs = list(itertools.combinations(range(n), 2))
+    m = len(pairs)
+    for mask in range(1 << m):
+        succ = [0] * n
+        for k in range(m):
+            if mask >> k & 1:
+                i, j = pairs[k]
+                succ[i] |= 1 << j
+        if all(not succ[j] & ~succ[i] for i in range(n) for j in bits(succ[i])):
+            yield tuple(succ)
+
+
+def poset_from_mask(succ: tuple[int, ...]) -> Poset:
+    return Poset(
+        tuple(str(i) for i in range(len(succ))),
+        tuple(s | 1 << i for i, s in enumerate(succ)),
+    )
+
+
+def pair_subset_posets_upto(k: int):
+    """One poset per isomorphism class of at most k points, harvested
+    from the orders that `transitive_masks` yields."""
+    for n in range(k + 1):
+        buckets: dict[object, list[Poset]] = {}
+        for succ in transitive_masks(n):
+            cand = poset_from_mask(succ)
+            known = buckets.setdefault(_iso_signature(cand), [])
+            if not any(find_isomorphism(cand, r) is not None for r in known):
+                known.append(cand)
+                yield cand
+
+
+def permutation_involutions(p: Poset):
+    """All antitone involutions on p, found by trying every permutation."""
+    n = len(p.elements)
+    for perm in itertools.permutations(range(n)):
+        if any(perm[perm[i]] != i for i in range(n)):
+            continue
+        if order_violation(p, perm, p.down_masks) is None:
+            yield {p.elements[i]: p.elements[perm[i]] for i in range(n)}
 
 
 def ordered_brute_force(dom: Poset, cod: Poset, build, keep=None) -> list:
@@ -117,7 +196,7 @@ def _boolean_cube(n: int) -> Poset:
         for b in elems
         if all(ca <= cb for ca, cb in zip(a, b))
     )
-    return Poset.from_pairs(elems, le)
+    return from_pairs(elems, le)
 
 
 def oracle_poset_retraction(p: Poset, embedding: tuple[int, MonotoneMap]) -> MonotoneMap | None:
@@ -157,7 +236,7 @@ def reference_columns(p: InvPoset, prune: bool) -> list[dict[str, str]]:
         down = p.base.down_of([q])
         columns.append({x: _coordinate(p, down, x) for x in p.elements})
     if prune:
-        d_le = DIAMOND.base.le
+        d_le = le_pairs(DIAMOND.base)
         separating = [
             sum(1 << k for k, c in enumerate(columns) if (c[x], c[y]) not in d_le)
             for x in p.elements
@@ -575,7 +654,7 @@ def pairwise_product(p: InvPoset, q: InvPoset, sep: str = "") -> InvPoset:
         if p.base.leq(a, c) and q.base.leq(b, d)
     )
     inv = {x: p.i(a) + sep + q.i(b) for x, (a, b) in names.items()}
-    return make_invposet(Poset.from_pairs(names, le), inv)
+    return make_invposet(from_pairs(names, le), inv)
 
 
 def pairwise_power(p: InvPoset, n: int) -> InvPoset:

@@ -45,10 +45,9 @@ from morgan_unify.gallery import (
     m3_pattern_instance,
 )
 from morgan_unify.involutive import make_inv_morphism
-from morgan_unify.order import POSET_CLASS_COUNTS
 from morgan_unify.unification import core_of
 
-from reference import cube_embedding, oracle_poset_retraction
+from reference import POSET_CLASS_COUNTS, cube_embedding, oracle_poset_retraction
 
 
 def report(criterion, started, budget_seconds, detail=""):

@@ -13,7 +13,7 @@ from morgan_unify.algebra import (
 )
 from morgan_unify.duality import downset_algebra
 
-from reference import ordered_brute_force
+from reference import ordered_brute_force, scan_join, scan_meet
 from strategies import posets
 
 
@@ -42,6 +42,35 @@ class TestValidateAlgebra:
     def test_not_a_lattice(self):
         with pytest.raises(ValidationError, match="lattice"):
             validate_algebra(validate_poset(["a", "b"], []))
+
+    def test_not_a_lattice_names_the_first_unbounded_pair(self, crown):
+        # x is below a and b, which have no join: c and d are both minimal
+        # upper bounds
+        with pytest.raises(ValidationError) as exc:
+            validate_algebra(crown)
+        assert str(exc.value) == "carrier is not a lattice: pair ('a', 'b') lacks a bound"
+        assert exc.value.witness == ("a", "b")
+
+    def test_not_a_lattice_witness_is_the_pairwise_scan(self, posets_upto_6):
+        refused = 0
+        for p in posets_upto_6:
+            elems = p.elements
+            first = next(
+                (
+                    (a, b)
+                    for a in elems
+                    for b in elems
+                    if scan_join(p, (a, b)) is None or scan_meet(p, (a, b)) is None
+                ),
+                None,
+            )
+            if not elems or first is None:
+                continue
+            with pytest.raises(ValidationError, match="not a lattice") as exc:
+                validate_algebra(p)
+            assert exc.value.witness == first
+            refused += 1
+        assert refused == 405 - 25  # nonempty classes less the lattices
 
     def test_neg_not_antitone(self, fm1):
         bad = dict(fm1.neg)

@@ -23,7 +23,14 @@ from morgan_unify.involutive import (
     make_invposet,
 )
 
-from reference import ordered_brute_force, pairwise_power, pairwise_product
+from reference import (
+    ordered_brute_force,
+    pairwise_power,
+    pairwise_product,
+    permutation_involutions,
+    poset_from_mask,
+    transitive_masks,
+)
 from strategies import invposets
 
 
@@ -178,17 +185,22 @@ class TestInvPosetEnumeration:
 
     def test_every_labeled_invposet_covered_up_to_three(self):
         reps = list(enumerate_invposets_upto(3))
-        from morgan_unify.order import _poset_from_mask, _transitive_masks
-
         for n in range(4):
-            for succ in _transitive_masks(n):
-                base = _poset_from_mask(succ)
-                for sigma in involutions_of(base):
+            for succ in transitive_masks(n):
+                base = poset_from_mask(succ)
+                for sigma in permutation_involutions(base):
                     iv = make_invposet(base, sigma)
                     hits = [
                         r for r in reps if find_inv_isomorphism(iv, r) is not None
                     ]
                     assert len(hits) == 1
+
+    def test_involutions_match_the_permutation_walk(self, posets_upto_6):
+        for p in posets_upto_6:
+            found = [tuple(sorted(s.items())) for s in involutions_of(p)]
+            walked = {tuple(sorted(s.items())) for s in permutation_involutions(p)}
+            assert len(found) == len(set(found))
+            assert set(found) == walked
 
     @given(invposets(max_size=4))
     def test_inv_swaps_minimals_and_maximals(self, iv):

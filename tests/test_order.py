@@ -1,5 +1,6 @@
 import itertools
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,11 +20,15 @@ from morgan_unify import (
     validate_poset,
 )
 from morgan_unify.documents import structure_document
-from morgan_unify.order import POSET_CLASS_COUNTS, Poset, make_monotone_map
+from morgan_unify.order import Poset, make_monotone_map
 
 from reference import (
+    POSET_CLASS_COUNTS,
     dfs_is_three_complete,
+    from_pairs,
+    le_pairs,
     ordered_brute_force,
+    pair_subset_posets_upto,
     reference_covers,
     reference_validate_poset,
     scan_join,
@@ -42,11 +47,11 @@ def d_poset():
 class TestValidate:
     def test_singleton(self):
         p = validate_poset(["a"], [])
-        assert p.le == frozenset({("a", "a")})
+        assert le_pairs(p) == frozenset({("a", "a")})
 
     def test_diamond_covers(self):
         p = d_poset()
-        assert len(p.le) == 9
+        assert len(le_pairs(p)) == 9
         assert p.leq("2", "3")
 
     def test_antisymmetry_violation(self):
@@ -125,7 +130,7 @@ def assert_matches_reference(elements, pairs, mode):
         return
     elems, le = ref
     assert p.elements == elems
-    assert p.le == le
+    assert le_pairs(p) == le
     assert all(p.leq(x, y) == ((x, y) in le) for x in elems for y in elems)
     assert p.covers() == reference_covers(elems, le)
 
@@ -134,7 +139,7 @@ class TestValidateAgainstReference:
     def test_every_poset_upto_6(self, posets_upto_6):
         for p in posets_upto_6:
             elems, covers = p.elements, list(p.covers())
-            le = sorted(p.le)
+            le = sorted(le_pairs(p))
             cases = [
                 (elems, covers, "covers"),
                 (elems, covers, "le"),
@@ -326,9 +331,41 @@ class TestEnumeration:
             counts[len(p.elements)] = counts.get(len(p.elements), 0) + 1
         assert [counts[i] for i in range(6)] == list(POSET_CLASS_COUNTS[:6])
 
+    def test_counts_up_to_seven(self, posets_upto_7):
+        counts = Counter(len(p.elements) for p in posets_upto_7)
+        assert [counts[i] for i in range(8)] == list(POSET_CLASS_COUNTS)
+
+    def test_element_order_is_a_linear_extension(self, posets_upto_7):
+        for p in posets_upto_7:
+            n = len(p.elements)
+            assert p.elements == tuple(str(i) for i in range(n))
+            assert all(u >> i << i == u for i, u in enumerate(p.up_masks))
+
+    def test_each_class_is_one_pair_subset_class(self, posets_upto_6):
+        # the classes that the walk over all subsets of the pairs of a
+        # fixed linear order harvests, matched by isomorphism both ways
+        old = list(pair_subset_posets_upto(6))
+        assert len(old) == len(posets_upto_6)
+        buckets = {}
+        for k, q in enumerate(old):
+            buckets.setdefault(len(q.elements), []).append(k)
+        matched = []
+        for p in posets_upto_6:
+            hits = [
+                k
+                for k in buckets[len(p.elements)]
+                if find_isomorphism(p, old[k]) is not None
+            ]
+            assert len(hits) == 1
+            matched.append(hits[0])
+        assert sorted(matched) == list(range(len(old)))
+
     def test_k_equals_one(self):
         sizes = [len(p.elements) for p in enumerate_posets_upto(1)]
         assert sizes == [0, 1]
+
+    def test_negative_k_is_empty(self):
+        assert list(enumerate_posets_upto(-1)) == []
 
     def test_cumulative_at_four(self):
         assert sum(1 for _ in enumerate_posets_upto(4)) == 25
@@ -406,7 +443,7 @@ class TestIsomorphism:
         reps = list(enumerate_posets_upto(4))
         for p in reps:
             # relisting the elements changes the first isomorphism found
-            relisted = Poset.from_pairs(reversed(p.elements), p.le)
+            relisted = from_pairs(reversed(p.elements), le_pairs(p))
             for q in reps:
                 assert find_isomorphism(p, q) == brute_isomorphism(p, q)
                 assert find_isomorphism(relisted, q) == brute_isomorphism(relisted, q)
@@ -414,7 +451,7 @@ class TestIsomorphism:
     def test_involutive_agrees_with_brute_force_small(self):
         reps = list(enumerate_invposets_upto(4))
         for iv in reps:
-            relisted = Poset.from_pairs(reversed(iv.elements), iv.base.le)
+            relisted = from_pairs(reversed(iv.elements), le_pairs(iv.base))
             for r in reps:
                 for base in (iv.base, relisted):
                     assert find_isomorphism(

@@ -38,6 +38,7 @@ from morgan_unify.unification import PATTERNS, core_of
 
 from reference import (
     NULL_PATTERN_SHAPES,
+    le_pairs,
     ordered_brute_force,
     reference_classify,
     reference_find_null_pattern,
@@ -80,7 +81,7 @@ class TestKleeneCore:
         )
         core = kleene_core(q)
         assert core.elements == q.elements
-        assert core.base.le == q.base.le
+        assert le_pairs(core.base) == le_pairs(q.base)
 
     def test_unseparated_pair_dropped(self):
         # x below y with x on the lower side, y on the upper side, and no
@@ -95,14 +96,14 @@ class TestKleeneCore:
         core = kleene_core(q)
         assert set(core.elements) == set(q.elements)
         assert q.base.leq("x", "y") and not core.base.leq("x", "y")
-        assert q.base.le - core.base.le == {("x", "y"), ("~y", "~x")}
+        assert le_pairs(q.base) - le_pairs(core.base) == {("x", "y"), ("~y", "~x")}
 
     def test_matches_pairwise_reference(self, invposets_upto_6, pattern_instances):
         kleene = [iv for iv in invposets_upto_6 if iv.is_kleene]
         kleene += [pattern_instances["k1"], pattern_instances["k2"]]
         for iv in kleene:
             core = kleene_core(iv)
-            assert (core.elements, core.base.le) == reference_kleene_core_order(iv)
+            assert (core.elements, le_pairs(core.base)) == reference_kleene_core_order(iv)
 
     @given(invposets(max_size=4))
     @settings(max_examples=40)
@@ -274,6 +275,13 @@ class TestClassifyAgainstReference:
         types = (None, "unitary", "finitary", "nullary")
         assert seen == {(v, t) for v in ("bdl", "demorgan", "kleene") for t in types}
         assert len(classify(forest, "bdl").certificate.members) > 1
+
+
+    def test_matches_all_intervals_reference_at_seven_points(self, posets_upto_7):
+        sevens = [p for p in posets_upto_7 if len(p.elements) == 7]
+        assert len(sevens) == 2045
+        for p in sevens:
+            assert classify(p, "bdl") == reference_classify(p, "bdl")
 
 
 class TestMuSet:

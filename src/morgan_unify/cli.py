@@ -49,8 +49,10 @@ ANCHOR_ORDER = {family: tuple(p.anchors) for family, p in PATTERNS.items()}
 
 
 def _read_structure(path: str):
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    return loads(text)
+    if path == "-":
+        return loads(sys.stdin.read())
+    with open(path, encoding="utf-8") as f:
+        return loads(f.read())
 
 
 def _emit(data: dict[str, Any]) -> None:

@@ -147,6 +147,11 @@ class InvMorphism:
     def monotone_part(self) -> MonotoneMap:
         return MonotoneMap(self.dom.base, self.cod.base, self.mapping)
 
+    @cached_property
+    def is_embedding(self) -> bool:
+        """Whether the underlying monotone map is an order embedding."""
+        return self.monotone_part.is_embedding
+
     def is_identity(self) -> bool:
         return self.dom == self.cod and all(a == b for a, b in self.mapping)
 

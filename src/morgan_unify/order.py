@@ -251,6 +251,25 @@ class MonotoneMap:
     def is_identity(self) -> bool:
         return self.dom == self.cod and all(a == b for a, b in self.mapping)
 
+    @cached_property
+    def is_embedding(self) -> bool:
+        """Whether x <= y exactly when f(x) <= f(y); such a map is injective.
+
+        Each point's up-mask must be the set of points whose images lie
+        above its image.
+        """
+        f, cidx, cup = self.as_dict, self.cod.index, self.cod.up_masks
+        image = [cidx[f[x]] for x in self.dom.elements]
+        for u, v in zip(self.dom.up_masks, image):
+            above = cup[v]
+            pulled = 0
+            for j, w in enumerate(image):
+                if above >> w & 1:
+                    pulled |= 1 << j
+            if pulled != u:
+                return False
+        return True
+
     def check(self) -> None:
         f = self.as_dict
         if set(f) != set(self.dom.elements):

@@ -110,6 +110,8 @@ def is_projective_dual(
         raise PreconditionError(f"unknown variety {variety!r}")
     if variety == "bdl":
         base = p.base if isinstance(p, InvPoset) else p
+        if not isinstance(base, Poset):
+            raise PreconditionError("variety 'bdl' needs a poset")
         rep = lattice_report(base)
         report = ConditionReport(
             rep.is_nonempty_lattice,

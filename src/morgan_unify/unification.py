@@ -31,12 +31,13 @@ from .order import (
     enumerate_monotone_maps,
     enumerate_posets_upto,
     identity_map,
+    is_three_complete,
     lattice_report,
     make_monotone_map,
     search_maps,
     validate_poset,
 )
-from .projectivity import condition_report, is_projective_dual
+from .projectivity import condition_report, is_projective_dual, self_below_subposet
 
 UNITARY = "unitary"
 FINITARY = "finitary"
@@ -349,8 +350,18 @@ def find_null_pattern(struct, family: str) -> dict[str, str] | None:
     the others sit, it may take no point whose up-set (a low anchor) or
     down-set (a high anchor) meets the points the clause forbids, so no
     match the clause rejects is ever built.
+
+    Two prunes skip only what no match can use.  Under bdl, k1 and m1, c
+    and d lie above a and b, so a join of a and b would sit between
+    them: b takes no point that has a join with a.  Under k2 and m3, d,
+    e and f lie below fixed points, so they and a, b, c are self-below
+    (d <= y = i(y) <= i(d)) and a, b, c are pairwise bounded in the
+    self-below part; if that part is 3-complete, a, b and c have a
+    self-below join, which the clause forbids, so there is no match.
     """
     pat, base, kinds = _pattern_env(struct, family)
+    if family in ("k2", "m3") and is_three_complete(self_below_subposet(struct))[0]:
+        return None
     down, up = base.down_masks, base.up_masks
     names = base.elements
     anchors = pat.anchors
@@ -373,11 +384,22 @@ def find_null_pattern(struct, family: str) -> dict[str, str] | None:
     # a low last anchor may sit below no forbidden point, a high one above none
     reach = down if anchors[last] in lows else up
     val = [0] * len(anchors)
+    a, b = (pos[t] for t in lows[:2]) if pat.clause == _NOBODY_BETWEEN else (-1, -1)
+    by_up = base._mask_index[1]
+    joinable: dict[int, int] = {}  # per value of a: b's values with a join with it
 
     def candidates(k: int) -> int:
         m = allowed[k]
         for j in lower[k]:
             m &= up[val[j]]
+        if k == b:
+            va = val[a]
+            if va not in joinable:
+                ua = up[va]
+                joinable[va] = sum(
+                    [1 << j for j in bits(allowed[b]) if (ua & up[j]) in by_up]
+                )
+            m &= ~joinable[va]
         if k == last:
             forbidden = kinds[kind]
             for j in other_lows:
@@ -431,11 +453,23 @@ def verify_null_pattern(struct, family: str, anchors: dict[str, str]) -> bool:
 
 
 def more_general(u1: Unifier, u2: Unifier) -> bool:
-    """Whether u1 is at least as general as u2: u2 factors through u1."""
+    """Whether u1 is at least as general as u2: u2 = u1 h for a morphism h.
+
+    u2's image must lie in u1's, or no h exists.  When it does and u1 is
+    an order embedding, h = u1^-1 u2 is the factor: it is monotone
+    because u1 reflects the order, and commutes with the involutions
+    because u1 is injective and commutes with them.  Only otherwise is h
+    searched for, with each point of u2's domain allowed the fibre of
+    u1 over its image.
+    """
     if type(u1) is not type(u2):
         raise PreconditionError("unifiers live in different categories")
     if u1.cod != u2.cod:
         raise PreconditionError("unifiers target different instances")
+    if not u2.image <= u1.image:
+        return False
+    if u1.is_embedding:
+        return True
     fibres: dict[str, list[str]] = {}
     for t in u1.dom.elements:
         fibres.setdefault(u1(t), []).append(t)

@@ -24,6 +24,8 @@ cover extraction by set intersection and the pair-set Kleene core that
 the up-mask kernel replaced.  `reference_classify` and
 `reference_mu_set` decide finitarity by testing every interval, not
 only those at minimal points, and name the nullary family the same way.
+`reference_more_general` decides generality by searching for the factor
+map every time, with no image or embedding test first.
 """
 
 import functools
@@ -872,3 +874,22 @@ def reference_classify(q, variety: str) -> UnifClassification:
     return UnifClassification(
         True, NULLARY, NullPattern(family, tuple(sorted(anchors.items()))), core
     )
+
+
+def reference_more_general(u1, u2) -> bool:
+    """Whether u2 factors through u1, decided by searching for the factor
+    alone: each point of u2's domain may go to the fibre of u1 over its
+    image, and any map `search_maps` finds is a factor."""
+    if type(u1) is not type(u2):
+        raise PreconditionError("unifiers live in different categories")
+    if u1.cod != u2.cod:
+        raise PreconditionError("unifiers target different instances")
+    fibres: dict[str, list[str]] = {}
+    for t in u1.dom.elements:
+        fibres.setdefault(u1(t), []).append(t)
+    allowed = {x: fibres.get(u2(x), ()) for x in u2.dom.elements}
+    if isinstance(u1, InvMorphism):
+        maps = search_maps(u2.dom.base, u1.dom.base, allowed, u2.dom.inv, u1.dom.inv)
+    else:
+        maps = search_maps(u2.dom, u1.dom, allowed)
+    return next(maps, None) is not None

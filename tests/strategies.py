@@ -31,3 +31,57 @@ def invposets(draw, max_size=4):
     if not sigmas:
         return make_invposet(validate_poset(["f"], []), {"f": "f"})
     return make_invposet(base, draw(st.sampled_from(sigmas)))
+
+
+_names = st.sampled_from("abcde")
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3)
+)
+
+#: any JSON value, kept small
+json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def near_documents(draw):
+    """A structure document on at most five points in which each field is
+    mostly well formed and otherwise an arbitrary JSON value: a known
+    kind, distinct elements, a chain or random pairs oriented along the
+    element order as covers or le, an involution pairing some elements,
+    and a negation map."""
+
+    def field(good):
+        return draw(json_values) if draw(st.integers(0, 4)) == 0 else good
+
+    elements = draw(st.lists(_names, max_size=5, unique=True))
+    if draw(st.booleans()):
+        pairs = [list(p) for p in zip(elements, elements[1:])]  # a chain
+    else:
+        pairs = [
+            [elements[i], elements[j]]
+            for i, j in draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=6))
+            if i < j < len(elements)
+        ]
+    order = draw(st.permutations(elements))
+    swaps = draw(st.integers(0, len(order) // 2))
+    inv = {x: x for x in order}
+    for x, y in zip(order[: 2 * swaps : 2], order[1 : 2 * swaps : 2]):
+        inv[x], inv[y] = y, x
+    doc = {
+        "kind": field(draw(st.sampled_from(["poset", "invposet", "algebra"]))),
+        "elements": field(elements),
+        draw(st.sampled_from(["covers", "le"])): field(pairs),
+    }
+    for key in ("inv", "neg"):
+        if draw(st.booleans()):
+            doc[key] = field(inv)
+    return doc

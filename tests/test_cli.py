@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -7,6 +8,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from morgan_unify import (
     DIAMOND,
@@ -21,7 +24,7 @@ from morgan_unify.gallery import m1_pattern_instance
 from morgan_unify.documents import dumps, loads, structure_document
 from morgan_unify.involutive import mirror_covers
 
-from strategies import reversed_chain
+from strategies import json_values, near_documents, reversed_chain
 
 GOLDENS = [
     "diamond.json",
@@ -377,6 +380,39 @@ class TestParser:
         assert exc.value.code == 2
         assert "usage: morgan-unify" in capsys.readouterr().err
         assert cli(["free", "--variety", "dm", "--n", "0"])[0] == 0
+
+
+def _run_on_stdin(argv, text):
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = run_cli(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    # three draws in four are near-valid documents, which get past parsing
+    value=st.one_of(json_values, near_documents(), near_documents(), near_documents()),
+    argv=st.sampled_from(
+        [["validate", "-"]]
+        + [[cmd, "-", "--variety", v] for cmd in ("classify", "projective") for v in ("bdl", "kleene", "dm")]
+    ),
+)
+def test_any_json_document_ends_in_a_documented_exit(value, argv):
+    code, out = _run_on_stdin(argv, json.dumps(value))
+    assert code in range(5)
+    assert isinstance(json.loads(out), dict)
+
+
+def test_projective_bdl_on_an_algebra_exits_three():
+    code, out = _run_on_stdin(
+        ["projective", "-", "--variety", "bdl"], '{"kind": "algebra", "elements": ["a"]}'
+    )
+    assert code == 3
+    assert json.loads(out) == {"error": "variety 'bdl' needs a poset"}
 
 
 def test_console_entry_point():

@@ -1,4 +1,5 @@
 import random
+import time
 from functools import partial
 
 import pytest
@@ -31,10 +32,18 @@ from morgan_unify import (
 )
 from morgan_unify.cli import ANCHOR_ORDER
 from morgan_unify.duality import demorgan_dual
-from morgan_unify.gallery import m3_pattern_instance
+from morgan_unify.gallery import (
+    k1_pattern_instance,
+    k2_pattern_instance,
+    m1_pattern_instance,
+    m2_pattern_instance,
+    m3_pattern_instance,
+)
 from morgan_unify.involutive import make_inv_morphism
 from morgan_unify.order import make_monotone_map
-from morgan_unify.unification import PATTERNS, core_of
+from morgan_unify.order import is_three_complete
+from morgan_unify.projectivity import self_below_subposet
+from morgan_unify.unification import FINITARY, PATTERNS, core_of, witness_family
 
 from reference import (
     NULL_PATTERN_SHAPES,
@@ -43,6 +52,7 @@ from reference import (
     reference_classify,
     reference_find_null_pattern,
     reference_kleene_core_order,
+    reference_more_general,
     reference_mu_set,
     reference_verify_null_pattern,
     search_maps_find_null_pattern,
@@ -515,6 +525,89 @@ class TestPatternSearchAgainstSearchMaps:
         assert find_null_pattern(q, "bdl") == reference_find_null_pattern(q, "bdl")
 
 
+def larger_involutive_inputs():
+    """D^n and K(D^n) for n <= 3, the witness structures T_n, the products
+    D^a x C_k of the dual-decide catalog with their Kleene parts, and the
+    gallery instances with their products with C_3 and D."""
+    out = []
+    for n in (1, 2, 3):
+        out += [power(DIAMOND, n), kleene_part(power(DIAMOND, n))]
+    for family, ns in (("k1", (2, 3)), ("k2", (2, 3)), ("m1", (1, 2, 3)), ("m2", (3, 5))):
+        out += [witness_family(family, n).structure for n in ns]
+    for a, ks in ((1, (3, 5, 9, 12)), (2, (2, 3, 4, 5)), (3, (2,))):
+        for k in ks:
+            p = product(power(DIAMOND, a), reversed_chain(k), sep=".")
+            out += [p, kleene_part(p)]
+    for make in (k1_pattern_instance, k2_pattern_instance, m1_pattern_instance, m2_pattern_instance):
+        g = make()
+        out += [g, product(g, reversed_chain(3), sep="."), product(g, DIAMOND, sep=".")]
+    return out
+
+
+class TestPatternSearchPrunes:
+    """The join prune (bdl, k1, m1) and the 3-completeness pre-check (k2,
+    m3) skip only searches that hold no match."""
+
+    def test_pattern_free_inputs_end_fast(self):
+        d4 = power(DIAMOND, 4)
+        for q, family in [
+            (chain(200), "bdl"),
+            (grid(12, 14), "bdl"),
+            (d4, "k2"),
+            (d4, "m3"),
+            (kleene_part(d4), "k2"),
+        ]:
+            start = time.perf_counter()
+            assert find_null_pattern(q, family) is None
+            # each takes at most 0.05 s on one x86-64 core; without the
+            # prunes chain(200) walks some 67 million tuples
+            assert time.perf_counter() - start < 1.0, (len(q), family)
+
+    def test_pairs_bounded_without_a_join_stay_candidates(self, crown, pattern_instances):
+        # in every match a and b lie below c and d but have no join, so a
+        # prune of every bounded pair would lose these matches
+        for q, family in [
+            (crown, "bdl"),
+            (pattern_instances["k1"], "k1"),
+            (pattern_instances["m1"], "m1"),
+            (bounded_layered((4,) * 8, seed=1401), "bdl"),
+        ]:
+            anchors = find_null_pattern(q, family)
+            assert anchors is not None
+            assert anchors == search_maps_find_null_pattern(q, family)
+            base = q.base if isinstance(q, InvPoset) else q
+            assert base.join([anchors["a"], anchors["b"]]) is None
+
+    def test_join_prune_on_witness_structures(self):
+        cases = [(witness_family("bdl", n).structure, "bdl") for n in (1, 2, 3, 4)]
+        for family in ("k1", "m1"):
+            for n in (2, 3):
+                t = witness_family(family, n).structure
+                cases += [(t, "k1"), (t, "m1"), (t.base, "bdl")]
+        for q, family in cases:
+            assert find_null_pattern(q, family) == search_maps_find_null_pattern(q, family)
+
+    def test_three_complete_precheck_against_search_maps(self):
+        found = set()
+        for q in larger_involutive_inputs():
+            cores = [core_of(q, "demorgan")] + ([core_of(q, "kleene")] if q.is_kleene else [])
+            for core in cores:
+                anchors = find_null_pattern(core, "k2")
+                assert anchors == search_maps_find_null_pattern(core, "k2"), core
+                assert find_null_pattern(core, "m3") == anchors
+                if anchors is not None:
+                    # the pre-check's premise fails wherever a match exists
+                    assert not is_three_complete(self_below_subposet(core))[0]
+                found.add(anchors is not None)
+        assert found == {True, False}
+
+    def test_three_complete_precheck_on_d4(self):
+        d4 = power(DIAMOND, 4)
+        assert is_three_complete(self_below_subposet(d4))[0]
+        assert find_null_pattern(d4, "k2") is None
+        assert search_maps_find_null_pattern(d4, "k2") is None
+
+
 class TestMoreGeneral:
     def test_reflexive(self, crown):
         u = validate_monotone_map(validate_poset(["p"], []), crown, {"p": "x"})
@@ -555,6 +648,65 @@ class TestMoreGeneral:
                         keep=lambda h: all(u1(h(x)) == u2(x) for x in dom2.elements),
                     )
                     assert more_general(u1, u2) == bool(factors)
+
+    def test_agrees_with_the_factor_search_on_finitary_instances(self):
+        # every finitary instance of at most 5 points: each mu-set member
+        # against every unifier of bound 4 and every member, and every
+        # pair of unifiers of bound 3 (91,516 pairs)
+        cases = [(q, "bdl") for q in enumerate_posets_upto(5)]
+        for q in enumerate_invposets_upto(5):
+            cases.append((q, "demorgan"))
+            if q.is_kleene:
+                cases.append((q, "kleene"))
+        pairs = 0
+        for q, variety in cases:
+            result = classify(q, variety)
+            if result.utype != FINITARY:
+                continue
+            members = result.certificate.members
+            unifiers = list(enumerate_unifiers_bounded(q, variety, 4))
+            small = [u for u in unifiers if len(u.dom) <= 3]
+            for u1, u2 in [
+                *((m, u) for m in members for u in unifiers + list(members)),
+                *((u, v) for u in small for v in small),
+            ]:
+                assert more_general(u1, u2) == reference_more_general(u1, u2), (u1, u2)
+                pairs += 1
+        assert pairs == 91516
+
+    def test_injective_without_reflecting_the_order_is_not_enough(self):
+        # u1 sends a 2-antichain onto a 2-chain: injective and monotone,
+        # but p <= q fails although u1(p) <= u1(q), so the 2-chain's
+        # inclusion does not factor through it
+        two = validate_poset(["a", "b"], [("a", "b")])
+        u1 = validate_monotone_map(validate_poset(["p", "q"], []), two, {"p": "a", "q": "b"})
+        u2 = validate_monotone_map(two, two, {"a": "a", "b": "b"})
+        assert u1.image == u2.image and not u1.is_embedding
+        assert not more_general(u1, u2)
+        assert more_general(u2, u1)
+
+        # the same with involutions: two swapped pairs onto a 4-chain
+        c4 = reversed_chain(4)
+        pairs = validate_involutive(
+            validate_poset(["p", "~p", "q", "~q"], []),
+            {"p": "~p", "~p": "p", "q": "~q", "~q": "q"},
+        )
+        v1 = make_inv_morphism(pairs, c4, {"p": "c0", "~p": "c3", "q": "c1", "~q": "c2"})
+        v1.check()
+        v2 = make_inv_morphism(c4, c4, {x: x for x in c4.elements})
+        assert v1.image == v2.image and not v1.is_embedding
+        assert not more_general(v1, v2)
+        assert more_general(v2, v1)
+
+    def test_embeddings(self, crown):
+        sub = crown.restrict(["x", "a", "c"])
+        assert make_monotone_map(sub, crown, {z: z for z in sub.elements}).is_embedding
+        point = validate_poset(["p"], [])
+        assert make_monotone_map(point, crown, {"p": "a"}).is_embedding
+        two = validate_poset(["p", "q"], [])
+        assert not make_monotone_map(two, crown, {"p": "a", "q": "a"}).is_embedding
+        assert not make_monotone_map(two, crown, {"p": "a", "q": "c"}).is_embedding
+        assert make_monotone_map(two, crown, {"p": "a", "q": "b"}).is_embedding
 
     def test_codomain_mismatch(self, crown, diamond):
         u = validate_monotone_map(validate_poset(["p"], []), crown, {"p": "x"})

@@ -49,10 +49,17 @@ ANCHOR_ORDER = {family: tuple(p.anchors) for family, p in PATTERNS.items()}
 
 
 def _read_structure(path: str):
-    if path == "-":
-        return loads(sys.stdin.read())
-    with open(path, encoding="utf-8") as f:
-        return loads(f.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+        # stdin may carry undecodable bytes as surrogates, which fail here
+        text.encode("utf-8")
+    except UnicodeError:
+        raise ValidationError("input is not UTF-8 text") from None
+    return loads(text)
 
 
 def _emit(data: dict[str, Any]) -> None:

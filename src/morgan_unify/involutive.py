@@ -16,8 +16,10 @@ from .order import (
     MonotoneMap,
     Pair,
     Poset,
+    _iso_signature,
     antitone_violation,
     bits,
+    downset_masks,
     find_isomorphism,
     search_maps,
     validate_poset,
@@ -246,33 +248,77 @@ def find_inv_isomorphism(p: InvPoset, q: InvPoset) -> dict[str, str] | None:
     return find_isomorphism(p.base, q.base, op_p=p.inv, op_q=q.inv)
 
 
-def involutions_of(p: Poset) -> Iterator[dict[str, str]]:
-    """All antitone involutions on p, in deterministic order.
-
-    An injective monotone map from p to its dual, which has as many
-    pairs, is an isomorphism: an anti-automorphism of p.  The
-    involutions are the self-inverse ones.
-    """
-    for sigma in search_maps(p, p.dual(), injective=True):
-        if all(sigma[sigma[x]] == x for x in sigma):
-            yield sigma
-
-
 def enumerate_invposets_upto(
     k: int, poset_classes: Iterable[Poset] | None = None
 ) -> Iterator[InvPoset]:
     """All involutive posets with at most k elements, one per class.
 
-    Classes are pairs (poset class, involution) up to isomorphisms that
-    commute with the involutions.
-    """
-    from .order import enumerate_posets_upto
+    Classes are up to order isomorphisms that commute with the
+    involutions.  Level n grows from the two smaller levels:
 
-    classes = poset_classes if poset_classes is not None else enumerate_posets_upto(k)
-    for base in classes:
-        reps: list[InvPoset] = []
-        for sigma in involutions_of(base):
-            cand = make_invposet(base, sigma)
-            if not any(find_inv_isomorphism(cand, r) is not None for r in reps):
-                reps.append(cand)
-                yield cand
+    - each class of n - 1 points plus an isolated fixed point, listed
+      last;
+    - each class R of n - 2 points and each down-set D of R, plus a new
+      maximal point m above D, listed last, and its involute i(m), a new
+      minimal point below the up-set i(D), listed first; i(m) < m is
+      forced when D meets i(D) and optional otherwise.
+
+    Every class arises: a maximal fixed point is also minimal (i is
+    antitone), so it is isolated; any other maximal point m has a
+    minimal involute, and removing {m, i(m)} leaves a substructure
+    closed under i, whose down-set below m is D.  Children are
+    deduplicated by `find_inv_isomorphism` within buckets keyed by the
+    order signature and the number of fixed points.  Element order is a
+    linear extension, elements are named by their index, and the output
+    order is deterministic, smaller classes first.
+
+    `poset_classes` is accepted for callers of the earlier route, which
+    took involutions of given poset classes, and is ignored.
+    """
+    if k < 0:
+        return
+    levels = [[InvPoset(Poset((), ()), ())]]
+    yield levels[0][0]
+    for n in range(1, k + 1):
+        levels.append(_grow_invposets(n, levels))
+        yield from levels[n]
+
+
+def _grow_invposets(n: int, levels: list[list[InvPoset]]) -> list[InvPoset]:
+    """The classes of n points, grown from the classes of n - 1 and n - 2
+    points in `levels`; see `enumerate_invposets_upto`."""
+    top = 1 << (n - 1)
+    children = []  # (up-masks, involution as an index map)
+    for rep in levels[n - 1]:
+        children.append(([*rep.base.up_masks, top], [*_index_involution(rep), n - 1]))
+    for rep in levels[n - 2] if n >= 2 else ():
+        mate = _index_involution(rep)
+        shifted = [u << 1 for u in rep.base.up_masks]
+        grown_mate = [n - 1, *[jj + 1 for jj in mate], 0]
+        for d in downset_masks(rep.base):
+            i_d = 0
+            for j in bits(d):
+                i_d |= 1 << mate[j]
+            up = [u | top if d >> j & 1 else u for j, u in enumerate(shifted)]
+            low = 1 | i_d << 1
+            children.append(([low | top, *up, top], grown_mate))
+            if not d & i_d:
+                children.append(([low, *up, top], grown_mate))
+    names = tuple([str(j) for j in range(n)])
+    buckets: dict[object, list[InvPoset]] = {}
+    grown = []
+    for up, mate in children:
+        base = Poset(names, tuple(up))
+        cand = InvPoset(base, tuple([(names[j], names[jj]) for j, jj in enumerate(mate)]))
+        fixed = sum(1 for j, jj in enumerate(mate) if j == jj)
+        known = buckets.setdefault((_iso_signature(base), fixed), [])
+        if not any(find_inv_isomorphism(cand, r) is not None for r in known):
+            known.append(cand)
+            grown.append(cand)
+    return grown
+
+
+def _index_involution(p: InvPoset) -> list[int]:
+    """The involution as a map on element indices."""
+    index = p.base.index
+    return [index[y] for _, y in p.inv_pairs]

@@ -464,7 +464,8 @@ def more_general(u1: Unifier, u2: Unifier) -> bool:
     """
     if type(u1) is not type(u2):
         raise PreconditionError("unifiers live in different categories")
-    if u1.cod != u2.cod:
+    # identity first: the dataclass __eq__ builds field tuples per call
+    if u1.cod is not u2.cod and u1.cod != u2.cod:
         raise PreconditionError("unifiers target different instances")
     if not u2.image <= u1.image:
         return False

@@ -73,6 +73,12 @@ def posets_upto_7():
 
 
 @pytest.fixture(scope="session")
-def invposets_upto_6(posets_upto_6):
+def invposets_upto_6():
     """One involutive poset per class, at most 6 points (124 classes)."""
-    return list(enumerate_invposets_upto(6, posets_upto_6))
+    return list(enumerate_invposets_upto(6))
+
+
+@pytest.fixture(scope="session")
+def invposets_upto_8():
+    """One involutive poset per class, at most 8 points (1055 classes)."""
+    return list(enumerate_invposets_upto(8))

@@ -2,7 +2,10 @@
 
 `transitive_masks` with `poset_from_mask` and `permutation_involutions`
 are the pair-subset and permutation walks the corpora were built with
-before they grew by maximal points; `le_pairs`, `from_pairs` and
+before they grew by maximal points.  `reference_invposets_upto` is the
+involutive corpus as it was built before it grew directly: every poset
+class with each of its antitone involutions (`involutions_of`, the
+self-inverse anti-automorphisms).  `le_pairs`, `from_pairs` and
 `POSET_CLASS_COUNTS` are test-side views and constructors of order.
 
 `ordered_brute_force` is the exhaustive oracle for every map search in
@@ -38,6 +41,7 @@ from morgan_unify.involutive import (
     DIAMOND,
     InvMorphism,
     InvPoset,
+    find_inv_isomorphism,
     kleene_part,
     make_inv_morphism,
     make_invposet,
@@ -50,6 +54,7 @@ from morgan_unify.order import (
     identity_map,
     lattice_report,
     bits,
+    enumerate_posets_upto,
     find_isomorphism,
     make_monotone_map,
     order_violation,
@@ -144,6 +149,31 @@ def permutation_involutions(p: Poset):
             continue
         if order_violation(p, perm, p.down_masks) is None:
             yield {p.elements[i]: p.elements[perm[i]] for i in range(n)}
+
+
+def involutions_of(p: Poset):
+    """All antitone involutions on p, in deterministic order.
+
+    An injective monotone map from p to its dual, which has as many
+    pairs, is an isomorphism: an anti-automorphism of p.  The
+    involutions are the self-inverse ones.
+    """
+    for sigma in search_maps(p, p.dual(), injective=True):
+        if all(sigma[sigma[x]] == x for x in sigma):
+            yield sigma
+
+
+def reference_invposets_upto(k: int):
+    """One involutive poset per class of at most k points: each poset
+    class with each of its antitone involutions, deduplicated within the
+    poset class."""
+    for base in enumerate_posets_upto(k):
+        reps: list[InvPoset] = []
+        for sigma in involutions_of(base):
+            cand = make_invposet(base, sigma)
+            if not any(find_inv_isomorphism(cand, r) is not None for r in reps):
+                reps.append(cand)
+                yield cand
 
 
 def ordered_brute_force(dom: Poset, cod: Poset, build, keep=None) -> list:

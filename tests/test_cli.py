@@ -392,19 +392,61 @@ def _run_on_stdin(argv, text):
     return code, out.getvalue()
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+#: every subcommand that reads a document, with its options
+FILE_COMMANDS = (
+    [["validate"]]
+    + [[cmd, "--variety", v] for cmd in ("classify", "projective") for v in ("bdl", "kleene", "dm")]
+    + [["core", "--variety", v] for v in ("kleene", "dm")]
+    + [["embed"], ["embed", "--prune"]]
+    + [["retract", "--variety", v, "--prune"] for v in ("kleene", "dm")]
+    + [["dualize", "--direction", d] for d in ("to-dual", "to-algebra")]
+    + [["oracle", "--check", "retraction"], ["oracle", "--check", "retraction", "--variety", "dm"]]
+    + [["oracle", "--check", "unifiers", "--bound", b] for b in ("-1", "0", "2")]
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding a file of bytes that are not UTF-8."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "latin1.json").write_bytes(b'{"kind": "poset", "elements": ["\xe9"]}')
+    return root
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     # three draws in four are near-valid documents, which get past parsing
     value=st.one_of(json_values, near_documents(), near_documents(), near_documents()),
-    argv=st.sampled_from(
-        [["validate", "-"]]
-        + [[cmd, "-", "--variety", v] for cmd in ("classify", "projective") for v in ("bdl", "kleene", "dm")]
-    ),
+    command=st.sampled_from(FILE_COMMANDS),
+    # the document goes to stdin; a path source reads no document
+    source=st.sampled_from(["-", "-", "-", "no-such-file.json", ".", "latin1.json"]),
 )
-def test_any_json_document_ends_in_a_documented_exit(value, argv):
-    code, out = _run_on_stdin(argv, json.dumps(value))
+def test_any_json_document_ends_in_a_documented_exit(fuzz_dir, value, command, source):
+    path = source if source == "-" else str(fuzz_dir / source)
+    code, out = _run_on_stdin([command[0], path, *command[1:]], json.dumps(value))
     assert code in range(5)
     assert isinstance(json.loads(out), dict)
+    if source != "-":
+        assert code == 1
+
+
+def test_non_utf8_file_exits_one(fuzz_dir, cli):
+    code, out = cli(["classify", str(fuzz_dir / "latin1.json"), "--variety", "bdl"])
+    assert code == 1
+    assert json.loads(out) == {"error": "input is not UTF-8 text", "witness": None}
+
+
+def test_non_utf8_stdin_exits_one():
+    # UTF-8 mode reads stdin with surrogateescape, as the C locale does
+    proc = subprocess.run(
+        [sys.executable, "-m", "morgan_unify.cli", "validate", "-"],
+        input=b'{"kind": "poset", "elements": ["\xe9"]}',
+        capture_output=True,
+        env={**os.environ, "PYTHONUTF8": "1"},
+    )
+    assert proc.returncode == 1
+    assert "UTF-8" in json.loads(proc.stdout)["error"]
+    assert proc.stderr == b""
 
 
 def test_projective_bdl_on_an_algebra_exits_three():

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,17 +19,19 @@ from morgan_unify import (
 )
 from morgan_unify.involutive import (
     compose_inv,
-    involutions_of,
     make_inv_morphism,
     make_invposet,
 )
+from morgan_unify.order import _iso_signature
 
 from reference import (
+    involutions_of,
     ordered_brute_force,
     pairwise_power,
     pairwise_product,
     permutation_involutions,
     poset_from_mask,
+    reference_invposets_upto,
     transitive_masks,
 )
 from strategies import invposets
@@ -182,6 +185,47 @@ class TestInvPosetEnumeration:
         for iv in enumerate_invposets_upto(4):
             counts[len(iv)] = counts.get(len(iv), 0) + 1
         assert counts == {0: 1, 1: 1, 2: 3, 3: 4, 4: 13}
+
+    def test_class_counts_up_to_eight(self, invposets_upto_8):
+        counts = Counter(len(iv) for iv in invposets_upto_8)
+        assert [counts[n] for n in range(9)] == [1, 1, 3, 4, 13, 22, 80, 176, 755]
+        assert sum(1 for iv in invposets_upto_8 if iv.is_kleene and len(iv) <= 6) == 61
+
+    def test_valid_and_listed_along_a_linear_extension(self, invposets_upto_8):
+        for iv in invposets_upto_8:
+            assert validate_involutive(iv.base, iv.inv) == iv
+            for i, up in enumerate(iv.base.up_masks):
+                assert up & ((1 << i) - 1) == 0
+
+    def test_classes_match_the_reference_route_up_to_seven(self):
+        # each grown class is isomorphic to exactly one class of the route
+        # through poset classes and their involutions, and vice versa
+        grown = list(enumerate_invposets_upto(7))
+        old = list(reference_invposets_upto(7))
+        assert len(grown) == len(old) == 300
+
+        def key(iv):
+            return _iso_signature(iv.base), len(iv.fixed_points)
+
+        buckets = {}
+        for r in old:
+            buckets.setdefault(key(r), []).append(r)
+        matched = Counter()
+        for iv in grown:
+            hits = [
+                i for i, r in enumerate(buckets.get(key(iv), []))
+                if find_inv_isomorphism(iv, r) is not None
+            ]
+            assert len(hits) == 1
+            matched[key(iv), hits[0]] += 1
+        assert len(matched) == len(old) and set(matched.values()) == {1}
+
+    def test_poset_classes_are_ignored(self, posets_upto_6):
+        first = [p for p in posets_upto_6 if len(p) <= 2]
+        assert list(enumerate_invposets_upto(4, first)) == list(enumerate_invposets_upto(4))
+
+    def test_negative_size_yields_nothing(self):
+        assert list(enumerate_invposets_upto(-1)) == []
 
     def test_every_labeled_invposet_covered_up_to_three(self):
         reps = list(enumerate_invposets_upto(3))

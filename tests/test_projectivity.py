@@ -304,7 +304,7 @@ class TestDigitVectorsAgainstMaterialised:
                     with pytest.raises(ValidationError):
                         _check_embedding(iv, broken)
         # the tally follows the representatives' element order: it sets the columns
-        assert (verdicts.count(True), verdicts.count(False)) == (83, 757)
+        assert (verdicts.count(True), verdicts.count(False)) == (86, 754)
 
     def test_retraction_check_agrees_on_broken_embeddings(self, invposets_upto_6):
         refused = 0

@@ -293,6 +293,17 @@ class TestClassifyAgainstReference:
         for p in sevens:
             assert classify(p, "bdl") == reference_classify(p, "bdl")
 
+    def test_matches_all_intervals_reference_up_to_eight_points(self, invposets_upto_8):
+        assert len(invposets_upto_8) == 1055
+        seen = set()
+        for iv in invposets_upto_8:
+            for variety in ("demorgan", "kleene") if iv.is_kleene else ("demorgan",):
+                want = reference_classify(iv, variety)
+                assert classify(iv, variety) == want
+                seen.add((variety, want.utype))
+        types = (None, "unitary", "finitary", "nullary")
+        assert seen == {(v, t) for v in ("demorgan", "kleene") for t in types}
+
 
 class TestMuSet:
     def test_antichain_two_singletons(self):
@@ -713,6 +724,31 @@ class TestMoreGeneral:
         v = validate_monotone_map(validate_poset(["p"], []), diamond.base, {"p": "2"})
         with pytest.raises(PreconditionError):
             more_general(u, v)
+
+    def test_equal_codomains_need_not_be_one_object(self, crown):
+        # the identity test on codomains is only a fast path: an equal
+        # copy is the same instance, an unequal one still raises
+        copy = validate_poset(crown.elements, crown.covers())
+        assert copy == crown and copy is not crown
+        point = validate_poset(["p"], [])
+        u = validate_monotone_map(point, crown, {"p": "x"})
+        v = validate_monotone_map(point, copy, {"p": "x"})
+        assert more_general(u, v) and more_general(v, u)
+
+        c4, c4_copy = reversed_chain(4), reversed_chain(4)
+        assert c4 == c4_copy and c4 is not c4_copy
+        whole = make_inv_morphism(c4, c4, {x: x for x in c4.elements})
+        middle = c4_copy.restrict(["c1", "c2"])
+        part = make_inv_morphism(middle, c4_copy, {"c1": "c1", "c2": "c2"})
+        assert more_general(whole, part) and not more_general(part, whole)
+
+        swap = validate_involutive(validate_poset(["a", "b"], []), {"a": "b", "b": "a"})
+        fixed = validate_involutive(swap.base, {"a": "a", "b": "b"})
+        assert swap.base is fixed.base and swap != fixed
+        w1 = make_inv_morphism(swap, swap, {"a": "a", "b": "b"})
+        w2 = make_inv_morphism(fixed, fixed, {"a": "a", "b": "b"})
+        with pytest.raises(PreconditionError):
+            more_general(w1, w2)
 
 
 class TestBoundedEnumeration:

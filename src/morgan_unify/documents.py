@@ -9,6 +9,7 @@ covers, so parse-then-serialize is idempotent.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring as _encode_str
 from typing import Any, Union
 
 from .algebra import FiniteAlgebra, validate_algebra
@@ -102,7 +103,54 @@ def jsonable(value):
 
 
 def dumps(data: dict[str, Any]) -> str:
-    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+    """`data` as JSON text indented by two spaces, non-ASCII text kept,
+    with a final newline: the text of `json.dumps(data, indent=2,
+    ensure_ascii=False) + "\\n"`.
+
+    The stdlib takes its pure-Python encoder whenever it indents, and
+    that encoder's nested closures form a reference cycle per call; this
+    writer indents by hand, escapes strings with the C escaper and
+    leaves no cycle.
+    """
+    parts: list[str] = []
+    _write(data, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(value: Any, parts: list[str], newline: str) -> None:
+    """Append the JSON text of `value` to `parts`; `newline` is a line
+    break followed by the indent of the line `value` starts on."""
+    if isinstance(value, str):
+        parts.append(_encode_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        opening = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                key = json.dumps(key)
+            parts.append(opening)
+            parts.append(_encode_str(key))
+            parts.append(": ")
+            _write(item, parts, inner)
+            opening = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        opening = "[" + inner
+        for item in value:
+            parts.append(opening)
+            _write(item, parts, inner)
+            opening = "," + inner
+        parts.append(newline + "]")
+    else:
+        parts.append(json.dumps(value))
 
 
 def loads(text: str) -> Structure:

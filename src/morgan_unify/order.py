@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeGuardError, ValidationError
@@ -417,23 +416,36 @@ def lattice_report(p: Poset) -> LatticeReport:
     """Pairwise join/meet diagnostics.
 
     The witness is the first pair, in canonical order, lacking a join or
-    a meet.  The empty poset is not a nonempty lattice.
+    a meet; the report stops at the first pair lacking a meet, since no
+    later pair changes it.  Only incomparable pairs are tested: when
+    x <= y, the meet of the pair is x and the join is y, so a comparable
+    pair lacks neither and skipping it changes neither the witness nor
+    the flags.  A chain needs no test at all.  The empty poset is not a
+    nonempty lattice.
     """
-    if not p.elements:
+    elems = p.elements
+    n = len(elems)
+    if not n:
         return LatticeReport(False, False, None)
     down, up = p.down_masks, p.up_masks
     by_down, by_up = p._mask_index
+    full = (1 << n) - 1
     witness = None
-    is_meet = True
-    for i, j in combinations(range(len(p.elements)), 2):
-        no_meet = (down[i] & down[j]) not in by_down
-        if no_meet or (up[i] & up[j]) not in by_up:
-            if witness is None:
-                witness = (p.elements[i], p.elements[j])
-            if no_meet:
-                is_meet = False
-                break  # no later pair changes the report
-    return LatticeReport(witness is None, is_meet, witness)
+    for i in range(n):
+        di, ui = down[i], up[i]
+        # the later points incomparable with i
+        later = full & ~(ui | di) >> (i + 1) << (i + 1)
+        while later:
+            low = later & -later
+            later ^= low
+            j = low.bit_length() - 1
+            if (di & down[j]) not in by_down:
+                if witness is None:
+                    witness = (elems[i], elems[j])
+                return LatticeReport(False, False, witness)
+            if witness is None and (ui & up[j]) not in by_up:
+                witness = (elems[i], elems[j])
+    return LatticeReport(witness is None, True, witness)
 
 
 def is_three_complete(p: Poset) -> tuple[bool, frozenset[str] | None]:

@@ -454,6 +454,10 @@ def oracle_retraction_search(
     Returns the first inv-commuting monotone map fixing the image, in
     canonical order, or None after exhausting the space.  Guarded to
     embeddings of dimension at most 4, and to ORACLE_NODES search nodes.
+    The default, unpruned embedding has one coordinate per point and
+    exhausts that budget on some classes of 4 points; pass
+    `oracle_embedding(p)` for a verdict on every class of at most 4
+    points.
     """
     if variety not in ("demorgan", "kleene"):
         raise PreconditionError("oracle supports demorgan and kleene")
@@ -474,8 +478,10 @@ def oracle_retraction_search(
 
 #: the retraction oracle's search-node budget.  Its uses that must end
 #: in a verdict, every involutive class of at most 4 points under
-#: demorgan and kleene and the pinned CLI cases, take at most 193 nodes;
-#: the budget is over 100 times that.  The search tries about 70,000
+#: demorgan and kleene on its pruned embedding (`oracle_embedding`) and
+#: the pinned CLI cases, take at most 193 nodes; the budget is over 100
+#: times that.  On the unpruned default embedding, 8 (class, variety)
+#: cases of 4 points exceed it.  The search tries about 70,000
 #: nodes a second on D^4 (2 vCPU Xeon), so a refusal comes within a second.
 ORACLE_NODES = 20_000
 

@@ -29,6 +29,9 @@ the up-mask kernel replaced.  `reference_classify` and
 only those at minimal points, and name the nullary family the same way.
 `reference_more_general` decides generality by searching for the factor
 map every time, with no image or embedding test first.
+`reference_lattice_report` is the lattice test over all pairs, the
+comparable ones included, and `reference_dumps` the stdlib's indenting
+encoder, which the library's hand-indenting writer replaced.
 """
 
 import functools
@@ -50,6 +53,7 @@ from morgan_unify.involutive import (
 from morgan_unify.order import (
     _iso_signature,
     MonotoneMap,
+    LatticeReport,
     Poset,
     identity_map,
     lattice_report,
@@ -78,6 +82,30 @@ from morgan_unify.unification import (
     interval_structure,
     is_solvable,
 )
+
+
+def reference_lattice_report(p: Poset) -> LatticeReport:
+    """`lattice_report` walking every pair in canonical order."""
+    if not p.elements:
+        return LatticeReport(False, False, None)
+    down, up = p.down_masks, p.up_masks
+    by_down, by_up = p._mask_index
+    witness = None
+    is_meet = True
+    for i, j in itertools.combinations(range(len(p.elements)), 2):
+        no_meet = (down[i] & down[j]) not in by_down
+        if no_meet or (up[i] & up[j]) not in by_up:
+            if witness is None:
+                witness = (p.elements[i], p.elements[j])
+            if no_meet:
+                is_meet = False
+                break  # no later pair changes the report
+    return LatticeReport(witness is None, is_meet, witness)
+
+
+def reference_dumps(data) -> str:
+    """`documents.dumps` by the stdlib's indenting encoder."""
+    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
 
 
 #: counts of poset isomorphism classes by size (OEIS A000112)

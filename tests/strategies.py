@@ -8,6 +8,19 @@ from morgan_unify.involutive import make_invposet
 from reference import involutions_of
 
 
+def chain(k):
+    names = [f"c{i}" for i in range(k)]
+    return validate_poset(names, list(zip(names, names[1:])))
+
+
+def grid(a, b):
+    """The product of an a-chain and a b-chain."""
+    names = [f"g{i}_{j}" for i in range(a) for j in range(b)]
+    covers = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(a - 1) for j in range(b)]
+    covers += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(a) for j in range(b - 1)]
+    return validate_poset(names, covers)
+
+
 def reversed_chain(k):
     """The k-chain c0 < ... < c(k-1) with the order-reversing involution."""
     names = [f"c{i}" for i in range(k)]
@@ -50,6 +63,29 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=3), inner, max_size=4),
     max_leaves=10,
+)
+
+
+#: text heavy in what JSON escapes: quotes, backslashes, control
+#: characters, and non-ASCII text, which is written as is
+_escapable_text = st.text(
+    st.sampled_from('"\\/\x00\x08\x1f\x7f \u00e9\u2028\u20ac\U0001f600') | st.characters(),
+    max_size=5,
+)
+_plain_scalars = st.none() | st.booleans() | st.integers() | st.floats() | _escapable_text
+
+#: JSON-like trees: dicts with str, int, float, bool and None keys, lists
+#: and tuples, empty and nested
+json_trees = st.recursive(
+    _plain_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(
+        _escapable_text | st.integers() | st.floats() | st.booleans() | st.none(),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=20,
 )
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -24,7 +25,8 @@ from morgan_unify.gallery import m1_pattern_instance
 from morgan_unify.documents import dumps, loads, structure_document
 from morgan_unify.involutive import mirror_covers
 
-from strategies import json_values, near_documents, reversed_chain
+from reference import reference_dumps
+from strategies import json_trees, json_values, near_documents, reversed_chain
 
 GOLDENS = [
     "diamond.json",
@@ -94,6 +96,42 @@ class TestGoldens:
         code, out = cli(["validate", str(data_dir / name)])
         assert code == 0
         assert out == (data_dir / name).read_text(encoding="utf-8")
+
+
+class TestDumpsAgainstReference:
+    """The hand-indenting writer prints what the stdlib's indenting
+    encoder prints."""
+
+    def test_every_golden(self, data_dir):
+        paths = sorted(data_dir.glob("*.json"))
+        assert len(paths) == len(GOLDENS)
+        for path in paths:
+            data = json.loads(path.read_text(encoding="utf-8"))
+            assert dumps(data) == reference_dumps(data)
+
+    def test_pinned_cli_output(self):
+        for pinned in RETRACT_OUTPUTS.values():
+            data = json.loads(pinned["stdout"])
+            assert dumps(data) == reference_dumps(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_trees)
+    def test_arbitrary_values(self, value):
+        assert dumps(value) == reference_dumps(value)
+
+    def test_classify_leaves_no_reference_cycle(self, data_dir, cli):
+        # the stdlib's indenting encoder left 33 objects per printed
+        # document that only the cycle collector frees
+        argv = ["classify", str(data_dir / "diamond.json"), "--variety", "dm"]
+        cli(argv)
+        gc.collect()
+        gc.disable()
+        try:
+            code, out = cli(argv)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert code == 0 and json.loads(out)["type"] == "unitary"
 
 
 class TestClassifyCommand:

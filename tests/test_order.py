@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 from collections import Counter
 
@@ -30,12 +31,13 @@ from reference import (
     ordered_brute_force,
     pair_subset_posets_upto,
     reference_covers,
+    reference_lattice_report,
     reference_validate_poset,
     scan_join,
     scan_meet,
     upper_bounds,
 )
-from strategies import posets
+from strategies import chain, grid, posets
 
 
 def d_poset():
@@ -254,6 +256,41 @@ class TestLatticeReport:
         rep = lattice_report(validate_poset([], []))
         assert not rep.is_nonempty_lattice
         assert not rep.is_meet_semilattice
+
+    def test_matches_all_pairs_reference_up_to_seven(self, posets_upto_7):
+        flags = Counter()
+        for p in posets_upto_7:
+            for q in (p, p.dual()):
+                rep = lattice_report(q)
+                assert rep == reference_lattice_report(q)
+                flags[rep.is_nonempty_lattice, rep.is_meet_semilattice] += 1
+        assert set(flags) == {(True, True), (False, True), (False, False)}
+
+    def test_matches_all_pairs_reference_up_to_200_points(self):
+        # chains and grids, whose pairs are mostly comparable, and
+        # restricted intervals of grids, which lack joins and meets at
+        # pairs spread over the element order
+        rng = random.Random(1401)
+        cases = [chain(1), chain(2), chain(200), grid(12, 14), grid(10, 20)]
+        for a, b in ((6, 6), (12, 14), (10, 20)):
+            g = grid(a, b)
+            cases.append(g.restrict(g.elements[:-1]))  # no top: a meet-semilattice
+            for k in range(8):
+                # the whole grid twice, then random intervals
+                x, y = (0, a * b - 1) if k < 2 else rng.sample(range(a * b), 2)
+                low = f"g{min(x // b, y // b)}_{min(x % b, y % b)}"
+                high = f"g{max(x // b, y // b)}_{max(x % b, y % b)}"
+                span = sorted(g.interval(low, high))
+                drop = rng.sample(span, len(span) // rng.choice((3, 8, 30)))
+                cases.append(g.restrict(set(span) - set(drop)))
+        flags = Counter()
+        for p in cases:
+            for q in (p, p.dual()):
+                rep = lattice_report(q)
+                assert rep == reference_lattice_report(q)
+                flags[rep.is_nonempty_lattice, rep.is_meet_semilattice] += 1
+        assert set(flags) == {(True, True), (False, True), (False, False)}
+        assert max(len(p.elements) for p in cases[5:]) > 180
 
 
 class TestThreeComplete:

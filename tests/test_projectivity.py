@@ -21,6 +21,7 @@ from morgan_unify import (
     validate_involutive,
     validate_poset,
 )
+from morgan_unify import projectivity
 from morgan_unify.gallery import m3_pattern_instance
 from morgan_unify.involutive import make_inv_morphism
 from morgan_unify.projectivity import (
@@ -358,6 +359,27 @@ class TestOracle:
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             oracle_retraction_search(power(DIAMOND, 2))
+
+    def test_pruned_embeddings_of_small_classes_need_193_nodes(self, monkeypatch):
+        # the figure README's guard table and ORACLE_NODES's comment give;
+        # it holds for oracle_embedding, not for the unpruned default
+        def verdicts(budget):
+            monkeypatch.setattr(projectivity, "ORACLE_NODES", budget)
+            decided = refused = 0
+            for iv in enumerate_invposets_upto(4):
+                if not iv.elements:
+                    continue
+                emb = projectivity.oracle_embedding(iv)
+                for variety in varieties(iv):
+                    try:
+                        oracle_retraction_search(iv, embedding=emb, variety=variety)
+                        decided += 1
+                    except SizeGuardError:
+                        refused += 1
+            return decided, refused
+
+        assert verdicts(193) == (34, 0)
+        assert verdicts(192) == (33, 1)
 
 
 class TestFastPath:

@@ -57,7 +57,7 @@ from reference import (
     reference_verify_null_pattern,
     search_maps_find_null_pattern,
 )
-from strategies import invposets, reversed_chain
+from strategies import chain, grid, invposets, reversed_chain
 
 
 class TestSolvability:
@@ -455,19 +455,6 @@ def bounded_layered(widths, seed):
     covers |= {(x, "top") for x in names} - {(x, "top") for x, _ in covers}
     names.append("top")
     return validate_poset(names, sorted(covers))
-
-
-def chain(k):
-    names = [f"c{i}" for i in range(k)]
-    return validate_poset(names, list(zip(names, names[1:])))
-
-
-def grid(a, b):
-    """The product of an a-chain and a b-chain."""
-    names = [f"g{i}_{j}" for i in range(a) for j in range(b)]
-    covers = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(a - 1) for j in range(b)]
-    covers += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(a) for j in range(b - 1)]
-    return validate_poset(names, covers)
 
 
 class TestPatternSearchAgainstSearchMaps:

@@ -2,19 +2,11 @@
 bounded distributive lattices, Kleene algebras, and De Morgan algebras,
 computed on their finite order duals."""
 
-from .algebra import (
-    FiniteAlgebra,
-    Homomorphism,
-    enumerate_homomorphisms,
-    validate_algebra,
-    validate_homomorphism,
-)
+from .algebra import FiniteAlgebra, validate_algebra
 from .duality import (
     demorgan_dual,
     demorgan_from_dual,
     downset_algebra,
-    dual_of_hom,
-    hom_of_map,
     join_irreducibles,
 )
 from .errors import PreconditionError, SizeGuardError, ValidationError

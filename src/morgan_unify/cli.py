@@ -20,7 +20,6 @@ from .order import Poset
 from .projectivity import (
     canonical_embedding,
     is_projective_dual,
-    oracle_embedding,
     oracle_retraction_search,
     build_retraction,
 )
@@ -225,7 +224,7 @@ def cmd_oracle(args) -> int:
     if args.check == "retraction":
         if not isinstance(s, InvPoset):
             raise PreconditionError("retraction oracle needs an invposet document")
-        found = oracle_retraction_search(s, oracle_embedding(s), variety)
+        found = oracle_retraction_search(s, variety=variety)
         out: dict[str, Any] = {"found": found is not None}
         if found is not None:
             out["map"] = {v: found(v) for v in found.dom.elements}

@@ -1,24 +1,17 @@
-"""Finite duality functors between algebras and (involutive) posets.
+"""Finite duality between algebras and (involutive) posets, on objects.
 
-Object level: join-irreducibles vs downset algebras, with the extra
-involution/negation layer for the De Morgan and Kleene cases.  Morphism
-level: the contravariant dual of a homomorphism and the preimage
-homomorphism of a monotone map.
+Join-irreducibles vs downset algebras, with the extra involution/negation
+layer for the De Morgan and Kleene cases.  No decision needs the
+functors on morphisms; `tests/morphisms.py` keeps them as the suite's
+cross-check.
 """
 
 from __future__ import annotations
 
-from .algebra import (
-    FiniteAlgebra,
-    Homomorphism,
-    TAG_BDL,
-    TAG_DEMORGAN,
-    make_homomorphism,
-    trusted_algebra,
-)
+from .algebra import TAG_BDL, TAG_DEMORGAN, FiniteAlgebra, trusted_algebra
 from .errors import PreconditionError, ValidationError
-from .involutive import InvMorphism, InvPoset, make_inv_morphism, validate_involutive
-from .order import MonotoneMap, Poset, bits, downset_masks, make_monotone_map
+from .involutive import InvPoset, validate_involutive
+from .order import Poset, bits, downset_masks
 
 
 def _downset_name(p: Poset, mask: int) -> str:
@@ -59,7 +52,7 @@ def _inv_on_irreducibles(a: FiniteAlgebra, ji: Poset) -> dict[str, str]:
     for x in ji.elements:
         excluded = {a.neg[b] for b in a.carrier.up_of([x])}
         rest = [c for c in a.elements if c not in excluded]
-        out[x] = a.meet_all(rest)
+        out[x] = a.carrier.meet(rest)
     return out
 
 
@@ -81,67 +74,9 @@ def demorgan_from_dual(p: InvPoset) -> FiniteAlgebra:
     """De Morgan algebra of downsets of p with X' = carrier minus i(X)."""
     base = p.base
     masks, carrier = _downset_lattice(base)
-    mate = [1 << base.index[p.i(x)] for x in base.elements]
-    full = (1 << len(mate)) - 1
+    full = (1 << len(base)) - 1
     neg = {}
     for d, name in zip(masks, carrier.elements):
-        image = sum(mate[i] for i in bits(d))
+        image = sum(1 << p.mate[i] for i in bits(d))
         neg[name] = _downset_name(base, full & ~image)
     return trusted_algebra(carrier, neg)
-
-
-def dual_of_hom(h: Homomorphism) -> MonotoneMap | InvMorphism:
-    """Contravariant dual of a homomorphism.
-
-    Sends each join-irreducible x of the codomain to the meet of the
-    h-preimage filter; lands in the irreducibles of the domain or the
-    input was not valid.  Returns an InvMorphism when h preserves
-    negation on genuinely De Morgan algebras.
-    """
-    a, b = h.dom, h.cod
-    ji_a = join_irreducibles(a)
-    ji_b = join_irreducibles(b)
-    mapping = {}
-    for x in ji_b.elements:
-        fiber = [y for y in a.elements if b.carrier.leq(x, h(y))]
-        target = a.meet_all(fiber)
-        if target not in ji_a:
-            raise ValidationError(
-                f"dual image of {x!r} is join-reducible: {target!r}", witness=x
-            )
-        mapping[x] = target
-    if a.neg is not None and b.neg is not None:
-        dom_iv = validate_involutive(ji_b, _inv_on_irreducibles(b, ji_b))
-        cod_iv = validate_involutive(ji_a, _inv_on_irreducibles(a, ji_a))
-        return make_inv_morphism(dom_iv, cod_iv, mapping)
-    return make_monotone_map(ji_b, ji_a, mapping)
-
-
-def hom_of_map(f: MonotoneMap | InvMorphism) -> Homomorphism:
-    """Preimage homomorphism between downset algebras, contravariant to f."""
-    if isinstance(f, InvMorphism):
-        dom_p, cod_p = f.dom.base, f.cod.base
-        alg_dom = demorgan_from_dual(f.cod)
-        alg_cod = demorgan_from_dual(f.dom)
-    else:
-        dom_p, cod_p = f.dom, f.cod
-        alg_dom = downset_algebra(cod_p)
-        alg_cod = downset_algebra(dom_p)
-    image = [cod_p.index[f(x)] for x in dom_p.elements]
-    mapping = {}
-    for d in downset_masks(cod_p):
-        preimage = sum(1 << k for k, j in enumerate(image) if d >> j & 1)
-        mapping[_downset_name(cod_p, d)] = _downset_name(dom_p, preimage)
-    return make_homomorphism(alg_dom, alg_cod, mapping)
-
-
-def canonical_iso(a: FiniteAlgebra) -> Homomorphism:
-    """The unit a -> downset_algebra(join_irreducibles(a)), x -> (x] cap JI."""
-    ji = join_irreducibles(a)
-    double = downset_algebra(ji)
-    mapping = {}
-    for x in a.elements:
-        below = sum(1 << k for k, j in enumerate(ji.elements) if a.carrier.leq(j, x))
-        mapping[x] = _downset_name(ji, below)
-    return make_homomorphism(a, double, mapping)
-

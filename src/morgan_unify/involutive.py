@@ -50,17 +50,35 @@ class InvPoset:
         return self.inv[x]
 
     @cached_property
+    def mate(self) -> tuple[int, ...]:
+        """The index of i(x) for each x: the involution on element indices."""
+        index, inv = self.base.index, self.inv
+        return tuple([index[inv[x]] for x in self.base.elements])
+
+    @cached_property
+    def fixed_mask(self) -> int:
+        """The bitmask of the fixed points, i(x) = x."""
+        return sum(1 << k for k, j in enumerate(self.mate) if k == j)
+
+    @cached_property
+    def self_below_mask(self) -> int:
+        """The bitmask of the self-below points, x <= i(x)."""
+        up = self.base.up_masks
+        return sum(1 << k for k, j in enumerate(self.mate) if up[k] >> j & 1)
+
+    @cached_property
     def is_kleene(self) -> bool:
         """True when every element is comparable with its involute."""
-        return all(self.base.comparable(x, self.inv[x]) for x in self.elements)
+        up = self.base.up_masks
+        return all(up[k] >> j & 1 or up[j] >> k & 1 for k, j in enumerate(self.mate))
 
     @cached_property
     def fixed_points(self) -> tuple[str, ...]:
-        return tuple([x for x in self.elements if self.inv[x] == x])
+        return self.base.members(self.fixed_mask)
 
     def self_below_inv(self) -> tuple[str, ...]:
         """Elements x with x <= i(x), in canonical order."""
-        return tuple([x for x in self.elements if self.base.leq(x, self.inv[x])])
+        return self.base.members(self.self_below_mask)
 
     def restrict(self, keep: Iterable[str]) -> "InvPoset":
         """Induced substructure; `keep` must be closed under the involution."""
@@ -154,9 +172,6 @@ class InvMorphism:
         """Whether the underlying monotone map is an order embedding."""
         return self.monotone_part.is_embedding
 
-    def is_identity(self) -> bool:
-        return self.dom == self.cod and all(a == b for a, b in self.mapping)
-
     def check(self) -> None:
         f = self.as_dict
         if set(f) != set(self.dom.elements):
@@ -179,12 +194,6 @@ def validate_inv_morphism(
     f = make_inv_morphism(dom, cod, mapping)
     f.check()
     return f
-
-
-def compose_inv(g: InvMorphism, f: InvMorphism) -> InvMorphism:
-    if f.cod != g.dom:
-        raise ValidationError("composition mismatch: cod(f) != dom(g)")
-    return make_inv_morphism(f.dom, g.cod, {x: g(f(x)) for x in f.dom.elements})
 
 
 def product(p: InvPoset, q: InvPoset, sep: str = "") -> InvPoset:
@@ -290,9 +299,9 @@ def _grow_invposets(n: int, levels: list[list[InvPoset]]) -> list[InvPoset]:
     top = 1 << (n - 1)
     children = []  # (up-masks, involution as an index map)
     for rep in levels[n - 1]:
-        children.append(([*rep.base.up_masks, top], [*_index_involution(rep), n - 1]))
+        children.append(([*rep.base.up_masks, top], [*rep.mate, n - 1]))
     for rep in levels[n - 2] if n >= 2 else ():
-        mate = _index_involution(rep)
+        mate = rep.mate
         shifted = [u << 1 for u in rep.base.up_masks]
         grown_mate = [n - 1, *[jj + 1 for jj in mate], 0]
         for d in downset_masks(rep.base):
@@ -316,9 +325,3 @@ def _grow_invposets(n: int, levels: list[list[InvPoset]]) -> list[InvPoset]:
             known.append(cand)
             grown.append(cand)
     return grown
-
-
-def _index_involution(p: InvPoset) -> list[int]:
-    """The involution as a map on element indices."""
-    index = p.base.index
-    return [index[y] for _, y in p.inv_pairs]

@@ -96,9 +96,6 @@ class Poset:
         except KeyError:
             return False
 
-    def strictly_below(self, x: str, y: str) -> bool:
-        return x != y and self.leq(x, y)
-
     def comparable(self, x: str, y: str) -> bool:
         return self.leq(x, y) or self.leq(y, x)
 
@@ -246,9 +243,6 @@ class MonotoneMap:
     @cached_property
     def image(self) -> frozenset[str]:
         return frozenset(self.as_dict.values())
-
-    def is_identity(self) -> bool:
-        return self.dom == self.cod and all(a == b for a, b in self.mapping)
 
     @cached_property
     def is_embedding(self) -> bool:

@@ -54,24 +54,23 @@ def self_below_subposet(p: InvPoset) -> Poset:
 
 
 def check_m2(p: InvPoset) -> tuple[bool, str | None]:
-    base = p.base
-    fixed = base.mask(p.fixed_points)
-    for x in p.self_below_inv():
-        if not base.up_masks[base.index[x]] & fixed:
-            return False, x
+    up, fixed = p.base.up_masks, p.fixed_mask
+    for x in bits(p.self_below_mask):
+        if not up[x] & fixed:
+            return False, p.elements[x]
     return True, None
 
 
 def check_k2(p: InvPoset) -> tuple[bool, tuple[str, str] | None]:
-    base = p.base
-    up, idx = base.up_masks, base.index
-    self_below = p.self_below_inv()
-    candidates = base.mask(self_below)
-    for x, y in itertools.combinations_with_replacement(self_below, 2):
-        if not (base.leq(x, p.i(y)) and base.leq(y, p.i(x))):
-            continue
-        if not up[idx[x]] & up[idx[y]] & candidates:
-            return False, (x, y)
+    # i is an antitone involution, so x <= i(y) exactly when y <= i(x):
+    # the partners y of x are the self-below points below i(x), taken
+    # from x's index up
+    up, down, mate = p.base.up_masks, p.base.down_masks, p.mate
+    below = p.self_below_mask
+    for x in bits(below):
+        for y in bits(below & down[mate[x]] & -(1 << x)):
+            if not up[x] & up[y] & below:
+                return False, (p.elements[x], p.elements[y])
     return True, None
 
 
@@ -156,7 +155,15 @@ def canonical_embedding(
 
 def oracle_embedding(p: InvPoset) -> tuple[int, dict[str, str]]:
     """`canonical_embedding(p, prune=True)`, refused by the oracle's
-    dimension guard."""
+    dimension guard.
+
+    More than 4^4 = 256 points are refused before pruning: an injective
+    map into D^4 has at most that many.
+    """
+    if len(p.elements) > 4**4:
+        raise SizeGuardError(
+            f"oracle guard: {len(p.elements)} points exceed the 256 of D^4"
+        )
     columns = _columns(p, prune=True)
     _oracle_guard(len(columns))
     return _embed(p, columns)
@@ -170,7 +177,7 @@ def _columns(p: InvPoset, prune: bool) -> list[int]:
     if not prune:
         return list(range(n))
     up, down = p.base.up_masks, p.base.down_masks
-    inv = _inv_indices(p)
+    inv = p.mate
     full = (1 << n) - 1
 
     def rows(a: int) -> int:
@@ -202,18 +209,12 @@ def _columns(p: InvPoset, prune: bool) -> list[int]:
     return list(bits(kept))
 
 
-def _inv_indices(p: InvPoset) -> list[int]:
-    """The index of i(x) for each point x."""
-    idx = p.base.index
-    return [idx[p.i(x)] for x in p.elements]
-
-
 def _embed(p: InvPoset, columns: list[int]) -> tuple[int, dict[str, str]]:
     # the coordinate at q classifies x against the principal downset of
     # q and its De Morgan complement: x <= q and i(x) !<= q -> "2", x <= q
     # only -> "0", i(x) !<= q only -> "1", neither -> "3"
     up = p.base.up_masks
-    inv_up = [up[j] for j in _inv_indices(p)]
+    inv_up = [up[j] for j in p.mate]
     vectors = {
         x: "".join("1320"[2 * (up[k] >> q & 1) + (inv_up[k] >> q & 1)] for q in columns)
         for k, x in enumerate(p.elements)
@@ -369,8 +370,7 @@ def build_retraction(
         below = [m & le[c][d] for m in below for d in DIGITS]
         above = [m & ge[c][d] for m in above for d in DIGITS]
     image = {v: base.index[x] for x, v in vectors.items()}
-    fixed = base.mask(p.fixed_points)
-    inv = _inv_indices(p)
+    fixed, inv = p.fixed_mask, p.mate
 
     def bound(m: int, masks: tuple[int, ...], lookup: dict[int, int]) -> int | None:
         """The join (up-masks) or meet (down-masks) of the points in m."""
@@ -454,16 +454,13 @@ def oracle_retraction_search(
     Returns the first inv-commuting monotone map fixing the image, in
     canonical order, or None after exhausting the space.  Guarded to
     embeddings of dimension at most 4, and to ORACLE_NODES search nodes.
-    The default, unpruned embedding has one coordinate per point and
-    exhausts that budget on some classes of 4 points; pass
-    `oracle_embedding(p)` for a verdict on every class of at most 4
-    points.
+    The default embedding is `oracle_embedding(p)`, on which every class
+    of at most 4 points ends in a verdict.
     """
+    if embedding is None:  # an input too large is refused whatever the variety
+        embedding = oracle_embedding(p)
     if variety not in ("demorgan", "kleene"):
         raise PreconditionError("oracle supports demorgan and kleene")
-    if embedding is None:
-        _oracle_guard(len(p.elements))  # the unpruned dimension
-        embedding = canonical_embedding(p)
     n, vectors = embedding
     _oracle_guard(n)
     _check_vectors(p, n, vectors)
@@ -478,11 +475,10 @@ def oracle_retraction_search(
 
 #: the retraction oracle's search-node budget.  Its uses that must end
 #: in a verdict, every involutive class of at most 4 points under
-#: demorgan and kleene on its pruned embedding (`oracle_embedding`) and
-#: the pinned CLI cases, take at most 193 nodes; the budget is over 100
-#: times that.  On the unpruned default embedding, 8 (class, variety)
-#: cases of 4 points exceed it.  The search tries about 70,000
-#: nodes a second on D^4 (2 vCPU Xeon), so a refusal comes within a second.
+#: demorgan and kleene on its default, pruned embedding
+#: (`oracle_embedding`) and the pinned CLI cases, take at most 193
+#: nodes; the budget is over 100 times that.  The search tries about 70,000 nodes a second on D^4
+#: (2 vCPU Xeon), so a refusal comes within a second.
 ORACLE_NODES = 20_000
 
 

@@ -118,9 +118,7 @@ def kleene_core(q: InvPoset) -> InvPoset:
         raise PreconditionError("kleene_core needs a Kleene object")
     base = q.base
     down, up = base.down_masks, base.up_masks
-    mate = [base.index[q.i(x)] for x in q.elements]
-    fixed = sum(1 << i for i, j in enumerate(mate) if i == j)
-    below = sum(1 << i for i, j in enumerate(mate) if up[i] >> j & 1)
+    mate, fixed, below = q.mate, q.fixed_mask, q.self_below_mask
     above = sum(1 << i for i, j in enumerate(mate) if up[j] >> i & 1)
     inside = sum(1 << i for i, (d, u) in enumerate(zip(down, up)) if (d | u) & fixed)
     # kept[i]: the points y >= x = elements[i] that the three clauses keep
@@ -157,17 +155,12 @@ def demorgan_core(q: InvPoset) -> InvPoset:
     Keeps x when some single point sits below x, its involute, and a
     fixed point simultaneously; the order is plain restriction.
     """
-    base = q.base
-    fixed = set(q.fixed_points)
-    carrier = [
-        x
-        for x in q.elements
-        if any(
-            base.leq(y, x) and base.leq(y, q.i(x)) and any(base.leq(y, z) for z in fixed)
-            for y in q.elements
-        )
-    ]
-    return q.restrict(carrier)
+    down = q.base.down_masks
+    low = 0  # the points below some fixed point
+    for z in bits(q.fixed_mask):
+        low |= down[z]
+    names = q.elements
+    return q.restrict([names[x] for x, j in enumerate(q.mate) if down[x] & down[j] & low])
 
 
 def core_of(q: InvPoset, variety: str) -> InvPoset:
@@ -320,10 +313,8 @@ def _pattern_env(struct, family: str) -> tuple[Pattern, Poset, dict[str, int]]:
     base = struct.base if isinstance(struct, InvPoset) else struct
     kinds = {ANY: (1 << len(base.elements)) - 1}
     if isinstance(struct, InvPoset):
-        up = base.up_masks
-        mate = [base.index[struct.i(x)] for x in base.elements]
-        kinds[FIXED] = sum(1 << i for i, j in enumerate(mate) if i == j)
-        kinds[SELF_BELOW] = sum(1 << i for i, j in enumerate(mate) if up[i] >> j & 1)
+        kinds[FIXED] = struct.fixed_mask
+        kinds[SELF_BELOW] = struct.self_below_mask
     elif family != "bdl":
         raise PreconditionError(f"family {family!r} needs an involutive poset")
     return PATTERNS[family], base, kinds

@@ -32,6 +32,11 @@ map every time, with no image or embedding test first.
 `reference_lattice_report` is the lattice test over all pairs, the
 comparable ones included, and `reference_dumps` the stdlib's indenting
 encoder, which the library's hand-indenting writer replaced.
+`string_fixed_points` and `string_self_below` define the involution's
+fixed and self-below points on element names; `reference_check_m2`,
+`reference_check_k2` and `reference_demorgan_core` are the m2 and k2
+checks and the De Morgan core as they read the involution by name,
+pair by pair, before they walked `InvPoset`'s index view.
 """
 
 import functools
@@ -720,6 +725,47 @@ def pairwise_product(p: InvPoset, q: InvPoset, sep: str = "") -> InvPoset:
 def pairwise_power(p: InvPoset, n: int) -> InvPoset:
     """power(p, n) for n >= 1 built with `pairwise_product`."""
     return functools.reduce(lambda acc, _: pairwise_product(acc, p), range(n - 1), p)
+
+
+def string_fixed_points(p: InvPoset) -> tuple[str, ...]:
+    return tuple([x for x in p.elements if p.i(x) == x])
+
+
+def string_self_below(p: InvPoset) -> tuple[str, ...]:
+    return tuple([x for x in p.elements if p.base.leq(x, p.i(x))])
+
+
+def reference_check_m2(p: InvPoset) -> tuple[bool, str | None]:
+    fixed = string_fixed_points(p)
+    for x in string_self_below(p):
+        if not any(p.base.leq(x, z) for z in fixed):
+            return False, x
+    return True, None
+
+
+def reference_check_k2(p: InvPoset) -> tuple[bool, tuple[str, str] | None]:
+    base = p.base
+    self_below = string_self_below(p)
+    for x, y in itertools.combinations_with_replacement(self_below, 2):
+        if not (base.leq(x, p.i(y)) and base.leq(y, p.i(x))):
+            continue
+        if not any(base.leq(x, z) and base.leq(y, z) for z in self_below):
+            return False, (x, y)
+    return True, None
+
+
+def reference_demorgan_core(q: InvPoset) -> InvPoset:
+    base = q.base
+    fixed = string_fixed_points(q)
+    carrier = [
+        x
+        for x in q.elements
+        if any(
+            base.leq(y, x) and base.leq(y, q.i(x)) and any(base.leq(y, z) for z in fixed)
+            for y in q.elements
+        )
+    ]
+    return q.restrict(carrier)
 
 
 def m3_fast_path(p: InvPoset) -> bool:

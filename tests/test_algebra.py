@@ -1,18 +1,16 @@
 import pytest
 from hypothesis import given, settings
 
-from morgan_unify import ValidationError, validate_algebra, validate_homomorphism, validate_poset
-from morgan_unify.algebra import (
-    TAG_BDL,
-    TAG_BOOLEAN,
-    TAG_DEMORGAN,
-    TAG_KLEENE,
+from morgan_unify import ValidationError, validate_algebra, validate_poset
+from morgan_unify.algebra import TAG_BDL, TAG_BOOLEAN, TAG_DEMORGAN, TAG_KLEENE
+from morgan_unify.duality import downset_algebra
+
+from morphisms import (
     compose_homs,
     enumerate_homomorphisms,
     make_homomorphism,
+    validate_homomorphism,
 )
-from morgan_unify.duality import downset_algebra
-
 from reference import ordered_brute_force, scan_join, scan_meet
 from strategies import posets
 

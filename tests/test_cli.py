@@ -294,6 +294,22 @@ class TestOtherCommands:
         }
         assert built == []
 
+    def test_oracle_refuses_more_points_than_d4_before_pruning(self, cli, monkeypatch):
+        # D^5's 1,024 points are more than any map into D^4 separates;
+        # pruning its embedding first would take about half a minute
+        from morgan_unify import projectivity
+
+        def columns(p, prune):
+            raise AssertionError("pruned an input the oracle refuses by size")
+
+        monkeypatch.setattr(projectivity, "_columns", columns)
+        text = dumps(structure_document(power(DIAMOND, 5)))
+        code, out = cli(["oracle", "-", "--check", "retraction"], stdin_text=text)
+        assert code == 4
+        assert json.loads(out) == {
+            "error": "oracle guard: 1024 points exceed the 256 of D^4"
+        }
+
     def test_oracle_node_budget(self, data_dir, cli):
         # m1_pattern's pruned embedding has dimension 4, within the guard,
         # but the search under dm runs for minutes without its budget

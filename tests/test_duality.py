@@ -8,23 +8,29 @@ from morgan_unify import (
     demorgan_dual,
     demorgan_from_dual,
     downset_algebra,
-    dual_of_hom,
     enumerate_posets_upto,
     find_inv_isomorphism,
     find_isomorphism,
-    hom_of_map,
     join_irreducibles,
     kleene_part,
     power,
     validate_algebra,
-    validate_homomorphism,
     validate_inv_morphism,
     validate_poset,
 )
-from morgan_unify.algebra import TAG_BOOLEAN, TAG_KLEENE, enumerate_homomorphisms
-from morgan_unify.duality import canonical_iso
+from morgan_unify.algebra import TAG_BOOLEAN, TAG_KLEENE
 from morgan_unify.involutive import make_inv_morphism
 
+from morphisms import (
+    canonical_iso,
+    compose_homs,
+    compose_inv,
+    dual_of_hom,
+    enumerate_homomorphisms,
+    hom_of_map,
+    is_identity,
+    validate_homomorphism,
+)
 from strategies import invposets, posets
 
 
@@ -142,7 +148,7 @@ class TestRoundTrips:
 class TestMorphismLevel:
     def test_dual_of_identity(self, fm1):
         h = validate_homomorphism(fm1, fm1, {x: x for x in fm1.elements})
-        assert dual_of_hom(h).is_identity()
+        assert is_identity(dual_of_hom(h))
 
     def test_dual_of_bound_inclusion(self, fm1):
         two = validate_algebra(
@@ -192,9 +198,6 @@ class TestMorphismLevel:
         g = validate_homomorphism(
             fm1, fm1, {"0": "0", "1": "1", "m": "m", "j": "j", "x": "xp", "xp": "x"}
         )
-        from morgan_unify.algebra import compose_homs
-        from morgan_unify.involutive import compose_inv
-
         left = dual_of_hom(compose_homs(g, h))
         right = compose_inv(dual_of_hom(h), dual_of_hom(g))
         assert left.as_dict == right.as_dict

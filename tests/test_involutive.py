@@ -17,13 +17,10 @@ from morgan_unify import (
     validate_involutive,
     validate_poset,
 )
-from morgan_unify.involutive import (
-    compose_inv,
-    make_inv_morphism,
-    make_invposet,
-)
+from morgan_unify.involutive import make_inv_morphism, make_invposet
 from morgan_unify.order import _iso_signature
 
+from morphisms import compose_inv
 from reference import (
     involutions_of,
     ordered_brute_force,

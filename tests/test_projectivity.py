@@ -21,8 +21,15 @@ from morgan_unify import (
     validate_involutive,
     validate_poset,
 )
-from morgan_unify import projectivity
-from morgan_unify.gallery import m3_pattern_instance
+from morgan_unify import demorgan_core, demorgan_dual, projectivity, witness_family
+from morgan_unify.gallery import (
+    free_demorgan_one,
+    k1_pattern_instance,
+    k2_pattern_instance,
+    m1_pattern_instance,
+    m2_pattern_instance,
+    m3_pattern_instance,
+)
 from morgan_unify.involutive import make_inv_morphism
 from morgan_unify.projectivity import (
     DIGITS,
@@ -30,8 +37,11 @@ from morgan_unify.projectivity import (
     _columns,
     _cover_steps,
     _vector_names,
+    check_k2,
+    check_m2,
 )
 
+from morphisms import is_identity
 from reference import (
     cube_embedding,
     greedy_pruned_vectors,
@@ -40,8 +50,13 @@ from reference import (
     materialised_embedding,
     materialised_retraction,
     oracle_poset_retraction,
+    reference_check_k2,
+    reference_check_m2,
     reference_columns,
+    reference_demorgan_core,
     scan_columns,
+    string_fixed_points,
+    string_self_below,
 )
 from strategies import invposets, reversed_chain
 
@@ -72,6 +87,34 @@ class TestConditionReport:
     def test_inner_chain_of_diamond(self):
         rep = condition_report(three_chain())
         assert (rep.m1, rep.m2, rep.m3, rep.k1, rep.k2) == (True,) * 5
+
+
+class TestIndexInvolution:
+    def test_index_view_and_its_readers_match_the_string_forms(self, invposets_upto_6):
+        gallery = [
+            DIAMOND,
+            demorgan_dual(free_demorgan_one()),
+            k1_pattern_instance(),
+            k2_pattern_instance(),
+            m1_pattern_instance(),
+            m2_pattern_instance(),
+        ]
+        powers = [power(DIAMOND, n) for n in (0, 1, 2, 3)]
+        families = (("k1", (2, 3)), ("k2", (2, 3)), ("m1", (1, 2, 3)), ("m2", (1, 3, 5)))
+        witnesses = [witness_family(f, n).structure for f, ns in families for n in ns]
+        inputs = [*invposets_upto_6, *gallery, *powers, *map(kleene_part, powers), *witnesses]
+        verdicts = set()
+        for p in inputs:
+            index = p.base.index
+            assert p.mate == tuple(index[p.i(x)] for x in p.elements)
+            assert p.fixed_mask == p.base.mask(string_fixed_points(p))
+            assert p.self_below_mask == p.base.mask(string_self_below(p))
+            m2, k2 = check_m2(p), check_k2(p)
+            assert m2 == reference_check_m2(p)
+            assert k2 == reference_check_k2(p)
+            assert demorgan_core(p) == reference_demorgan_core(p)
+            verdicts.add((m2[0], k2[0]))
+        assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestDeciders:
@@ -160,7 +203,7 @@ class TestBuildRetraction:
     def test_diamond_identity(self, diamond):
         ident = {x: x for x in diamond.elements}
         r = build_retraction(diamond, "demorgan", embedding=(1, ident))
-        assert validate_inv_morphism(DIAMOND, diamond, r).is_identity()
+        assert is_identity(validate_inv_morphism(DIAMOND, diamond, r))
 
     def test_point_constant(self, point):
         vectors = {"p": "0"}
@@ -340,7 +383,7 @@ class TestOracle:
     def test_diamond_identity_found(self, diamond):
         ident = {x: x for x in diamond.elements}
         found = oracle_retraction_search(diamond, embedding=(1, ident))
-        assert found is not None and found.is_identity()
+        assert found is not None and is_identity(found)
 
     def test_antichain_swap_absent(self, antichain_swap):
         emb = canonical_embedding(antichain_swap)
@@ -357,12 +400,13 @@ class TestOracle:
             assert found(x) == x
 
     def test_size_guard(self):
-        with pytest.raises(SizeGuardError):
-            oracle_retraction_search(power(DIAMOND, 2))
+        # D^5's 1,024 points are more than any map into D^4 separates
+        with pytest.raises(SizeGuardError, match="1024 points exceed the 256 of D"):
+            oracle_retraction_search(power(DIAMOND, 5))
 
     def test_pruned_embeddings_of_small_classes_need_193_nodes(self, monkeypatch):
-        # the figure README's guard table and ORACLE_NODES's comment give;
-        # it holds for oracle_embedding, not for the unpruned default
+        # the figure README's guard table and ORACLE_NODES's comment give
+        # for oracle_embedding, the oracle's default
         def verdicts(budget):
             monkeypatch.setattr(projectivity, "ORACLE_NODES", budget)
             decided = refused = 0

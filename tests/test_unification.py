@@ -45,6 +45,7 @@ from morgan_unify.order import is_three_complete
 from morgan_unify.projectivity import self_below_subposet
 from morgan_unify.unification import FINITARY, PATTERNS, core_of, witness_family
 
+from morphisms import is_identity
 from reference import (
     NULL_PATTERN_SHAPES,
     le_pairs,
@@ -152,7 +153,7 @@ class TestClassify:
         result = classify(diamond.base, "bdl")
         assert result.utype == "unitary"
         assert isinstance(result.certificate, MostGeneral)
-        assert result.certificate.unifier.is_identity()
+        assert is_identity(result.certificate.unifier)
 
     def test_antichain_bdl_finitary(self):
         result = classify(validate_poset(["a", "b"], []), "bdl")

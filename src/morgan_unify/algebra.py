@@ -56,16 +56,13 @@ def _derive_tags(carrier: Poset, neg: dict[str, str] | None) -> frozenset[str]:
     if neg is not None:
         tags.add(TAG_DEMORGAN)
         elems = carrier.elements
-        join = {p: carrier.join(p) for p in cartesian(elems, repeat=2)}
-        meet = {p: carrier.meet(p) for p in cartesian(elems, repeat=2)}
-        if all(
-            carrier.leq(meet[a, neg[a]], join[b, neg[b]])
-            for a in elems
-            for b in elems
-        ):
+        lows = [carrier.meet((a, neg[a])) for a in elems]
+        highs = [carrier.join((b, neg[b])) for b in elems]
+        # Kleene: each low below each high, so the lows' join below the highs' meet
+        if carrier.leq(carrier.join(lows), carrier.meet(highs)):
             tags.add(TAG_KLEENE)
             bottom = carrier.bottom()
-            if all(meet[a, neg[a]] == bottom for a in elems):
+            if all(low == bottom for low in lows):
                 tags.add(TAG_BOOLEAN)
     return frozenset(tags)
 

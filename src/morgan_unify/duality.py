@@ -37,12 +37,11 @@ def join_irreducibles(a: FiniteAlgebra) -> Poset:
     of strictly smaller elements)."""
     if TAG_BDL not in a.variety_tags:
         raise PreconditionError("join_irreducibles needs a bounded-distributive algebra")
-    covers = a.carrier.covers()
-    lower_count = {x: 0 for x in a.elements}
-    for lo, hi in covers:
-        lower_count[hi] += 1
-    keep = [x for x in a.elements if x != a.zero and lower_count[x] == 1]
-    return a.carrier.restrict(keep)
+    lower = [0] * len(a)  # the number of lower covers of each element
+    index = a.carrier.index
+    for _, hi in a.carrier.covers():
+        lower[index[hi]] += 1
+    return a.carrier.restrict(sum(1 << x for x, c in enumerate(lower) if c == 1))
 
 
 def _inv_on_irreducibles(a: FiniteAlgebra, ji: Poset) -> dict[str, str]:

@@ -1,8 +1,10 @@
 """Involutive posets and their morphisms: duals of De Morgan algebras.
 
-Provides the distinguished four-element object DIAMOND, finite products
-and powers, the largest Kleene substructure, and enumeration of both
-objects and morphisms at desk scale.
+An `InvPoset` stores its involution as `mate`, the index of i(x) for
+each x; `inv`, `i()` and the point masks are views of it.  Provides the
+distinguished four-element object DIAMOND, finite products and powers,
+the largest Kleene substructure, and enumeration of both objects and
+morphisms at desk scale.
 """
 
 from __future__ import annotations
@@ -25,19 +27,17 @@ from .order import (
     validate_poset,
 )
 
-InvMap = tuple[Pair, ...]
-
 
 @dataclass(frozen=True)
 class InvPoset:
     """Finite poset with an antitone involution (object of FPM)."""
 
     base: Poset
-    inv_pairs: InvMap
+    mate: tuple[int, ...]
 
     @cached_property
     def inv(self) -> dict[str, str]:
-        return dict(self.inv_pairs)
+        return {x: self.elements[j] for x, j in zip(self.elements, self.mate)}
 
     @property
     def elements(self) -> tuple[str, ...]:
@@ -48,12 +48,6 @@ class InvPoset:
 
     def i(self, x: str) -> str:
         return self.inv[x]
-
-    @cached_property
-    def mate(self) -> tuple[int, ...]:
-        """The index of i(x) for each x: the involution on element indices."""
-        index, inv = self.base.index, self.inv
-        return tuple([index[inv[x]] for x in self.base.elements])
 
     @cached_property
     def fixed_mask(self) -> int:
@@ -67,33 +61,39 @@ class InvPoset:
         return sum(1 << k for k, j in enumerate(self.mate) if up[k] >> j & 1)
 
     @cached_property
+    def kleene_mask(self) -> int:
+        """The bitmask of the points x comparable with i(x): x or i(x) is self-below."""
+        below = self.self_below_mask
+        return below | sum(1 << self.mate[k] for k in bits(below))
+
+    @cached_property
     def is_kleene(self) -> bool:
         """True when every element is comparable with its involute."""
-        up = self.base.up_masks
-        return all(up[k] >> j & 1 or up[j] >> k & 1 for k, j in enumerate(self.mate))
+        return self.kleene_mask == (1 << len(self.mate)) - 1
 
     @cached_property
     def fixed_points(self) -> tuple[str, ...]:
         return self.base.members(self.fixed_mask)
 
-    def self_below_inv(self) -> tuple[str, ...]:
-        """Elements x with x <= i(x), in canonical order."""
-        return self.base.members(self.self_below_mask)
-
-    def restrict(self, keep: Iterable[str]) -> "InvPoset":
-        """Induced substructure; `keep` must be closed under the involution."""
-        keep_set = set(keep)
-        for x in keep_set:
-            if self.inv[x] not in keep_set:
+    def restrict(self, keep: int) -> "InvPoset":
+        """Induced substructure on the mask `keep`, which must be closed
+        under the involution; the first point, in element order, whose
+        involute is missing is the witness."""
+        kept = list(bits(keep))
+        for k in kept:
+            if not keep >> self.mate[k] & 1:
+                x = self.elements[k]
                 raise ValidationError(
                     f"selection not involution-closed at {x!r}", witness=x
                 )
-        base = self.base.restrict(keep_set)
-        return InvPoset(base, tuple([(x, self.inv[x]) for x in base.elements]))
+        new_index = {k: r for r, k in enumerate(kept)}
+        mate = tuple([new_index[self.mate[k]] for k in kept])
+        return InvPoset(self.base.restrict(keep), mate)
 
 
 def make_invposet(base: Poset, inv: dict[str, str]) -> InvPoset:
-    return InvPoset(base, tuple([(x, inv[x]) for x in base.elements]))
+    index = base.index
+    return InvPoset(base, tuple([index[inv[x]] for x in base.elements]))
 
 
 def mirror_closure(
@@ -204,15 +204,13 @@ def product(p: InvPoset, q: InvPoset, sep: str = "") -> InvPoset:
     is the product of the factors' orders: the up-mask of (a, b) holds
     b's up-mask once per point above a.
     """
-    label: dict[Pair, str] = {}
-    seen: set[str] = set()
+    names: dict[str, None] = {}  # insertion-ordered
     for a in p.elements:
         for b in q.elements:
             name = a + sep + b
-            if name in seen:
+            if name in names:
                 raise ValidationError(f"ambiguous product label {name!r}", name)
-            seen.add(name)
-            label[a, b] = name
+            names[name] = None
     width = len(q.elements)
     up = []
     for pu in p.base.up_masks:
@@ -222,9 +220,8 @@ def product(p: InvPoset, q: InvPoset, sep: str = "") -> InvPoset:
             for s in shifts:
                 u |= qu << s
             up.append(u)
-    base = Poset(tuple(label.values()), tuple(up))
-    inv = {x: label[p.i(a), q.i(b)] for (a, b), x in label.items()}
-    return make_invposet(base, inv)
+    mate = tuple([a * width + b for a in p.mate for b in q.mate])
+    return InvPoset(Poset(tuple(names), tuple(up)), mate)
 
 
 def power(p: InvPoset, n: int, sep: str = "") -> InvPoset:
@@ -232,15 +229,13 @@ def power(p: InvPoset, n: int, sep: str = "") -> InvPoset:
     if n < 0:
         raise ValidationError("power exponent must be nonnegative")
     if n == 0:
-        base = validate_poset([""], [])
-        return make_invposet(base, {"": ""})
+        return InvPoset(Poset(("",), (1,)), (0,))
     return reduce(lambda acc, _: product(acc, p, sep), range(n - 1), p)
 
 
 def kleene_part(p: InvPoset) -> InvPoset:
     """Largest substructure whose every element is comparable with its involute."""
-    keep = [x for x in p.elements if p.base.comparable(x, p.i(x))]
-    return p.restrict(keep)
+    return p.restrict(p.kleene_mask)
 
 
 def enumerate_inv_morphisms(p: InvPoset, q: InvPoset) -> Iterator[InvMorphism]:
@@ -249,12 +244,12 @@ def enumerate_inv_morphisms(p: InvPoset, q: InvPoset) -> Iterator[InvMorphism]:
     Searches involution orbits in a linear extension of the domain,
     pruning by monotonicity and commutation jointly.
     """
-    for f in search_maps(p.base, q.base, dom_inv=p.inv, cod_inv=q.inv):
+    for f in search_maps(p.base, q.base, dom_mate=p.mate, cod_mate=q.mate):
         yield make_inv_morphism(p, q, f)
 
 
 def find_inv_isomorphism(p: InvPoset, q: InvPoset) -> dict[str, str] | None:
-    return find_isomorphism(p.base, q.base, op_p=p.inv, op_q=q.inv)
+    return find_isomorphism(p.base, q.base, p.mate, q.mate)
 
 
 def enumerate_invposets_upto(
@@ -299,11 +294,11 @@ def _grow_invposets(n: int, levels: list[list[InvPoset]]) -> list[InvPoset]:
     top = 1 << (n - 1)
     children = []  # (up-masks, involution as an index map)
     for rep in levels[n - 1]:
-        children.append(([*rep.base.up_masks, top], [*rep.mate, n - 1]))
+        children.append(([*rep.base.up_masks, top], (*rep.mate, n - 1)))
     for rep in levels[n - 2] if n >= 2 else ():
         mate = rep.mate
         shifted = [u << 1 for u in rep.base.up_masks]
-        grown_mate = [n - 1, *[jj + 1 for jj in mate], 0]
+        grown_mate = (n - 1, *[jj + 1 for jj in mate], 0)
         for d in downset_masks(rep.base):
             i_d = 0
             for j in bits(d):
@@ -318,7 +313,7 @@ def _grow_invposets(n: int, levels: list[list[InvPoset]]) -> list[InvPoset]:
     grown = []
     for up, mate in children:
         base = Poset(names, tuple(up))
-        cand = InvPoset(base, tuple([(names[j], names[jj]) for j, jj in enumerate(mate)]))
+        cand = InvPoset(base, mate)
         fixed = sum(1 for j, jj in enumerate(mate) if j == jj)
         known = buckets.setdefault((_iso_signature(base), fixed), [])
         if not any(find_inv_isomorphism(cand, r) is not None for r in known):

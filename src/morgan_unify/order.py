@@ -7,7 +7,9 @@ canonical iteration order used for all deterministic tie-breaking
 downstream.  The order is held as up-masks over element indices: bit j
 of `up_masks[i]` is set when elements[i] <= elements[j], so the stored
 relation is reflexive-transitively closed.  Down-masks and the
-mask-to-point index are views derived from the up-masks.  The small
+mask-to-point index are views derived from the up-masks.  A selection
+of points is a bitmask over the same indices: `restrict` takes one,
+and `search_maps` takes involutions as index tuples.  The small
 corpora grow one maximal point at a time, above each down-set of the
 classes one size smaller.
 
@@ -96,9 +98,6 @@ class Poset:
         except KeyError:
             return False
 
-    def comparable(self, x: str, y: str) -> bool:
-        return self.leq(x, y) or self.leq(y, x)
-
     def _union(self, masks: tuple[int, ...], xs: Iterable[str]) -> frozenset[str]:
         m = 0
         for x in xs:
@@ -174,21 +173,14 @@ class Poset:
     def dual(self) -> "Poset":
         return Poset(self.elements, self.down_masks)
 
-    def restrict(self, keep: Iterable[str]) -> "Poset":
-        """Induced subposet; element order is inherited from this poset."""
-        keep_set = set(keep)
-        idx = self.index
-        unknown = [x for x in keep_set if x not in idx]
-        if unknown:
-            raise ValidationError(
-                f"unknown element {min(unknown)!r}", witness=min(unknown)
-            )
-        kept = sorted(idx[x] for x in keep_set)
+    def restrict(self, keep: int) -> "Poset":
+        """Induced subposet on the points of the mask `keep`; element
+        order is inherited from this poset."""
+        kept = list(bits(keep))
         new_bit = {1 << i: 1 << k for k, i in enumerate(kept)}
-        keep_mask = sum(new_bit)
         up = []
         for i in kept:
-            m = self.up_masks[i] & keep_mask
+            m = self.up_masks[i] & keep
             u = 0
             while m:
                 low = m & -m
@@ -479,11 +471,17 @@ def is_three_complete(p: Poset) -> tuple[bool, frozenset[str] | None]:
     return True, None
 
 
+#: the most down-sets `downset_masks` lists: `dualize --direction
+#: to-algebra` takes time quadratic in their number
+DOWNSET_CAP = 4096
+
+
 def downset_masks(p: Poset) -> list[int]:
     """The masks of all down-sets of p, ascending.
 
     A frontier walk from the empty set: a point may be added once the
-    rest of its down-set is in.
+    rest of its down-set is in.  More than DOWNSET_CAP down-sets raise
+    SizeGuardError.
     """
     seen = {0}
     frontier = [0]
@@ -495,6 +493,8 @@ def downset_masks(p: Poset) -> list[int]:
                 if grown not in seen:
                     seen.add(grown)
                     frontier.append(grown)
+        if len(seen) > DOWNSET_CAP:
+            raise SizeGuardError(f"down-set guard: more than {DOWNSET_CAP} down-sets")
     return sorted(seen)
 
 
@@ -543,8 +543,8 @@ def search_maps(
     dom: Poset,
     cod: Poset,
     allowed: dict[str, Iterable[str]] | None = None,
-    dom_inv: dict[str, str] | None = None,
-    cod_inv: dict[str, str] | None = None,
+    dom_mate: Sequence[int] | None = None,
+    cod_mate: Sequence[int] | None = None,
     injective: bool = False,
     budget: int | None = None,
 ) -> Iterator[dict[str, str]]:
@@ -553,12 +553,13 @@ def search_maps(
     Points are assigned along `dom.linear_extension()` and values tried
     in `cod.elements` order, so maps come out in lexicographic order of
     their values along that extension.  `allowed` restricts the value of
-    a point to the given candidates.  With both involutions given, each
-    point is assigned together with its involute (fixed points only to
-    fixed points), so every map commutes with them.  `injective` rejects
-    repeated values.  `budget` bounds the nodes, the values tried:
-    one more raises SizeGuardError.  Backtracking keeps an explicit
-    stack, so deep domains do not hit the recursion limit.
+    a point to the given candidates.  With both involutions given as
+    index tuples (`InvPoset.mate`), each point is assigned together with
+    its involute (fixed points only to fixed points), so every map
+    commutes with them.  `injective` rejects repeated values.  `budget`
+    bounds the nodes, the values tried: one more raises SizeGuardError.
+    Backtracking keeps an explicit stack, so deep domains do not hit the
+    recursion limit.
     """
     ext = dom._extension
     n = len(ext)
@@ -572,14 +573,11 @@ def search_maps(
             for v in vs:
                 m |= 1 << cod.index[v]
             cand[dom.index[x]] = m
-    mate = list(range(n))
-    cmate: list[int] = []
-    if dom_inv is not None:
-        cmate = [cod.index[cod_inv[v]] for v in values]
-        fixed = sum(1 << j for j, jj in enumerate(cmate) if jj == j)
-        for i, x in enumerate(dom.elements):
-            mate[i] = dom.index[dom_inv[x]]
-            if mate[i] == i:
+    mate = range(n) if dom_mate is None else dom_mate
+    if dom_mate is not None:
+        fixed = sum(1 << j for j, jj in enumerate(cod_mate) if jj == j)
+        for i, ii in enumerate(mate):
+            if ii == i:
                 cand[i] &= fixed
     orbit = [(i,) if ii == i else (i, ii) for i, ii in enumerate(mate)]
     val = [-1] * n
@@ -630,7 +628,7 @@ def search_maps(
         if injective:
             used |= low
         if ii != i:
-            jj = cmate[j]
+            jj = cod_mate[j]
             if not options(ii) >> jj & 1:
                 continue
             val[ii] = jj
@@ -649,22 +647,22 @@ def search_maps(
 def find_isomorphism(
     p: Poset,
     q: Poset,
-    op_p: dict[str, str] | None = None,
-    op_q: dict[str, str] | None = None,
+    mate_p: Sequence[int] | None = None,
+    mate_q: Sequence[int] | None = None,
 ) -> dict[str, str] | None:
     """Order isomorphism p -> q, or None.
 
-    When the optional unary operations are given (involutions), the
-    isomorphism must also commute with them.  Backtracking with
-    degree-level invariants; deterministic first result.
+    When involutions are given, as index tuples like `search_maps`
+    takes, the isomorphism must also commute with them.  Backtracking
+    with degree-level invariants; deterministic first result.
     """
     if len(p.elements) != len(q.elements):
         return None
     deg_p, deg_q = _degrees(p), _degrees(q)
     if sum(u for _, u in deg_p) != sum(u for _, u in deg_q):
         return None
-    inv_p = [d + ((op_p[x] == x,) if op_p else ()) for d, x in zip(deg_p, p.elements)]
-    inv_q = [d + ((op_q[u] == u,) if op_q else ()) for d, u in zip(deg_q, q.elements)]
+    inv_p = [d + ((mate_p[k] == k,) if mate_p else ()) for k, d in enumerate(deg_p)]
+    inv_q = [d + ((mate_q[k] == k,) if mate_q else ()) for k, d in enumerate(deg_q)]
     if sorted(inv_p) != sorted(inv_q):
         return None
     # with equally many pairs, an injective monotone map is an isomorphism
@@ -672,7 +670,7 @@ def find_isomorphism(
     for key, u in zip(inv_q, q.elements):
         matches.setdefault(key, []).append(u)
     allowed = {x: matches[key] for key, x in zip(inv_p, p.elements)}
-    return next(search_maps(p, q, allowed, op_p, op_q, injective=True), None)
+    return next(search_maps(p, q, allowed, mate_p, mate_q, injective=True), None)
 
 
 def enumerate_monotone_maps(p: Poset, q: Poset) -> Iterator[MonotoneMap]:

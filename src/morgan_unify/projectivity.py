@@ -50,7 +50,7 @@ class ConditionReport:
 
 
 def self_below_subposet(p: InvPoset) -> Poset:
-    return p.base.restrict(p.self_below_inv())
+    return p.base.restrict(p.self_below_mask)
 
 
 def check_m2(p: InvPoset) -> tuple[bool, str | None]:
@@ -468,7 +468,7 @@ def oracle_retraction_search(
     if variety == "kleene":
         dom = kleene_part(dom)
     forced = {v: (x,) for x, v in vectors.items() if v in dom.base}
-    maps = search_maps(dom.base, p.base, forced, dom.inv, p.inv, budget=ORACLE_NODES)
+    maps = search_maps(dom.base, p.base, forced, dom.mate, p.mate, budget=ORACLE_NODES)
     f = next(maps, None)
     return None if f is None else make_inv_morphism(dom, p, f)
 

@@ -144,9 +144,8 @@ def kleene_core(q: InvPoset) -> InvPoset:
                     f"Kleene object): {x!r} <= {y!r} <= {z!r}",
                     witness=(x, y, z),
                 )
-    carrier = base.members(inside)
-    core_base = Poset(names, tuple(kept)).restrict(carrier)
-    return validate_involutive(core_base, {x: q.i(x) for x in carrier})
+    core_base = Poset(names, tuple(kept)).restrict(inside)
+    return validate_involutive(core_base, q.inv)
 
 
 def demorgan_core(q: InvPoset) -> InvPoset:
@@ -159,8 +158,7 @@ def demorgan_core(q: InvPoset) -> InvPoset:
     low = 0  # the points below some fixed point
     for z in bits(q.fixed_mask):
         low |= down[z]
-    names = q.elements
-    return q.restrict([names[x] for x, j in enumerate(q.mate) if down[x] & down[j] & low])
+    return q.restrict(sum(1 << x for x, j in enumerate(q.mate) if down[x] & down[j] & low))
 
 
 def core_of(q: InvPoset, variety: str) -> InvPoset:
@@ -169,7 +167,8 @@ def core_of(q: InvPoset, variety: str) -> InvPoset:
 
 def interval_structure(p: InvPoset, x: str) -> InvPoset:
     """The involution-closed interval [x, i(x)] with inherited structure."""
-    return p.restrict(p.base.interval(x, p.i(x)))
+    k = p.base.index[x]
+    return p.restrict(p.base.up_masks[k] & p.base.down_masks[p.mate[k]])
 
 
 def inclusion_unifier(sub: InvPoset, q: InvPoset) -> InvMorphism:
@@ -206,11 +205,13 @@ def classify(q, variety: str) -> UnifClassification:
         if lattice_report(q).is_nonempty_lattice:
             return UnifClassification(True, UNITARY, MostGeneral(identity_map(q)), None)
         core = None
+        up, down = q.up_masks, q.down_masks
         pieces = [
-            q.restrict(q.interval(x, y))
-            for x in q.minimals()
-            for y in q.maximals()
-            if q.leq(x, y)
+            q.restrict(up[x] & down[y])
+            for x, d in enumerate(down)
+            if d == 1 << x  # x minimal
+            for y in bits(up[x])
+            if up[y] == 1 << y  # y maximal
         ]
         finitary = all(lattice_report(p).is_nonempty_lattice for p in pieces)
         family, struct, include = "bdl", q, make_monotone_map
@@ -468,7 +469,7 @@ def more_general(u1: Unifier, u2: Unifier) -> bool:
     allowed = {x: fibres.get(u2(x), ()) for x in u2.dom.elements}
     if isinstance(u1, InvMorphism):
         maps = search_maps(
-            u2.dom.base, u1.dom.base, allowed, u2.dom.inv, u1.dom.inv
+            u2.dom.base, u1.dom.base, allowed, u2.dom.mate, u1.dom.mate
         )
     else:
         maps = search_maps(u2.dom, u1.dom, allowed)

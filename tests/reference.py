@@ -37,6 +37,10 @@ fixed and self-below points on element names; `reference_check_m2`,
 `reference_check_k2` and `reference_demorgan_core` are the m2 and k2
 checks and the De Morgan core as they read the involution by name,
 pair by pair, before they walked `InvPoset`'s index view.
+`reference_restrict` and `reference_inv_restrict` are the substructure
+selections by element name that the mask selections replaced, and
+`reference_derive_tags` the variety tags read off full join and meet
+tables.
 """
 
 import functools
@@ -44,6 +48,7 @@ import itertools
 import json
 
 from morgan_unify import PreconditionError, SizeGuardError, ValidationError
+from morgan_unify.algebra import TAG_BDL, TAG_BOOLEAN, TAG_DEMORGAN, TAG_KLEENE
 from morgan_unify.documents import jsonable
 from morgan_unify.involutive import (
     DIAMOND,
@@ -765,7 +770,7 @@ def reference_demorgan_core(q: InvPoset) -> InvPoset:
             for y in q.elements
         )
     ]
-    return q.restrict(carrier)
+    return q.restrict(q.base.mask(carrier))
 
 
 def m3_fast_path(p: InvPoset) -> bool:
@@ -890,7 +895,7 @@ def bdl_intervals_ok(q: Poset) -> bool:
     for x in q.elements:
         for y in q.elements:
             if q.leq(x, y):
-                piece = q.restrict(q.interval(x, y))
+                piece = q.restrict(q.mask(q.interval(x, y)))
                 if not lattice_report(piece).is_nonempty_lattice:
                     return False
     return True
@@ -905,13 +910,13 @@ def _interval_ok(p: InvPoset, x: str, variety: str) -> bool:
 
 def all_intervals_ok(core: InvPoset, variety: str) -> bool:
     """Every interval [x, i(x)] with x <= i(x) is projective."""
-    return all(_interval_ok(core, x, variety) for x in core.self_below_inv())
+    return all(_interval_ok(core, x, variety) for x in string_self_below(core))
 
 
 def nullary_family(core: InvPoset, variety: str) -> str:
     """The first condition some interval [x, i(x)] fails, over all of
     them: k1, else k2; m1, else m2, else m3."""
-    xs = core.self_below_inv()
+    xs = string_self_below(core)
     if variety == "kleene":
         if any(not condition_report(interval_structure(core, x)).k1 for x in xs):
             return "k1"
@@ -942,7 +947,7 @@ def reference_mu_set(q, variety: str) -> list:
             for x in q.minimals()
             for y in q.maximals()
             if q.leq(x, y)
-            for piece in [q.restrict(q.interval(x, y))]
+            for piece in [q.restrict(q.mask(q.interval(x, y)))]
         ]
     core = core_of(q, variety)
     if not _finitary(q, variety, core):
@@ -993,7 +998,59 @@ def reference_more_general(u1, u2) -> bool:
         fibres.setdefault(u1(t), []).append(t)
     allowed = {x: fibres.get(u2(x), ()) for x in u2.dom.elements}
     if isinstance(u1, InvMorphism):
-        maps = search_maps(u2.dom.base, u1.dom.base, allowed, u2.dom.inv, u1.dom.inv)
+        maps = search_maps(u2.dom.base, u1.dom.base, allowed, u2.dom.mate, u1.dom.mate)
     else:
         maps = search_maps(u2.dom, u1.dom, allowed)
     return next(maps, None) is not None
+
+
+def reference_restrict(p: Poset, keep) -> Poset:
+    """`Poset.restrict` on a collection of element names."""
+    keep_set = set(keep)
+    idx = p.index
+    unknown = [x for x in keep_set if x not in idx]
+    if unknown:
+        raise ValidationError(f"unknown element {min(unknown)!r}", witness=min(unknown))
+    kept = sorted(idx[x] for x in keep_set)
+    new_bit = {1 << i: 1 << k for k, i in enumerate(kept)}
+    keep_mask = sum(new_bit)
+    up = []
+    for i in kept:
+        m = p.up_masks[i] & keep_mask
+        u = 0
+        while m:
+            low = m & -m
+            m ^= low
+            u |= new_bit[low]
+        up.append(u)
+    return Poset(tuple([p.elements[i] for i in kept]), tuple(up))
+
+
+def reference_inv_restrict(p: InvPoset, keep) -> InvPoset:
+    """`InvPoset.restrict` on a collection of element names; the witness
+    of a selection not closed under the involution is whichever point
+    the set iteration meets first."""
+    keep_set = set(keep)
+    for x in keep_set:
+        if p.inv[x] not in keep_set:
+            raise ValidationError(f"selection not involution-closed at {x!r}", witness=x)
+    return make_invposet(reference_restrict(p.base, keep_set), p.inv)
+
+
+def reference_derive_tags(carrier: Poset, neg) -> frozenset[str]:
+    """`algebra._derive_tags` with full join and meet tables, each pair
+    of lows and highs tested."""
+    tags = {TAG_BDL}
+    if neg is not None:
+        tags.add(TAG_DEMORGAN)
+        elems = carrier.elements
+        join = {p: carrier.join(p) for p in itertools.product(elems, repeat=2)}
+        meet = {p: carrier.meet(p) for p in itertools.product(elems, repeat=2)}
+        if all(
+            carrier.leq(meet[a, neg[a]], join[b, neg[b]]) for a in elems for b in elems
+        ):
+            tags.add(TAG_KLEENE)
+            bottom = carrier.bottom()
+            if all(meet[a, neg[a]] == bottom for a in elems):
+                tags.add(TAG_BOOLEAN)
+    return frozenset(tags)

@@ -44,7 +44,7 @@ from morgan_unify.gallery import (
     m2_pattern_instance,
     m3_pattern_instance,
 )
-from morgan_unify.involutive import make_inv_morphism
+from morgan_unify.involutive import make_inv_morphism, make_invposet
 from morgan_unify.unification import core_of
 
 from reference import POSET_CLASS_COUNTS, cube_embedding, oracle_poset_retraction
@@ -73,7 +73,9 @@ def test_criterion_1_free_object_reconstruction(capsys, monkeypatch):
     assert len(algebra) == 6
     fm1 = free_demorgan_one()
     assert (
-        find_isomorphism(algebra.carrier, fm1.carrier, op_p=algebra.neg, op_q=fm1.neg)
+        find_inv_isomorphism(
+            make_invposet(algebra.carrier, algebra.neg), make_invposet(fm1.carrier, fm1.neg)
+        )
         is not None
     )
 

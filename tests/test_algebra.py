@@ -1,9 +1,16 @@
 import pytest
 from hypothesis import given, settings
 
-from morgan_unify import ValidationError, validate_algebra, validate_poset
+from morgan_unify import (
+    DIAMOND,
+    ValidationError,
+    kleene_part,
+    power,
+    validate_algebra,
+    validate_poset,
+)
 from morgan_unify.algebra import TAG_BDL, TAG_BOOLEAN, TAG_DEMORGAN, TAG_KLEENE
-from morgan_unify.duality import downset_algebra
+from morgan_unify.duality import demorgan_from_dual, downset_algebra
 
 from morphisms import (
     compose_homs,
@@ -11,7 +18,7 @@ from morphisms import (
     make_homomorphism,
     validate_homomorphism,
 )
-from reference import ordered_brute_force, scan_join, scan_meet
+from reference import ordered_brute_force, reference_derive_tags, scan_join, scan_meet
 from strategies import posets
 
 
@@ -84,6 +91,16 @@ class TestValidateAlgebra:
     def test_empty_carrier_rejected(self):
         with pytest.raises(ValidationError, match="nonempty"):
             validate_algebra(validate_poset([], []))
+
+    def test_tags_match_the_table_form(self, invposets_upto_6, fm1):
+        d2 = power(DIAMOND, 2)
+        duals = [d2, kleene_part(d2), *[iv for iv in invposets_upto_6 if len(iv) <= 5]]
+        algebras = [fm1, boolean_two(), *map(demorgan_from_dual, duals)]
+        seen = set()
+        for alg in algebras:
+            assert alg.variety_tags == reference_derive_tags(alg.carrier, alg.neg)
+            seen.add(alg.variety_tags)
+        assert len(seen) == 3  # De Morgan, Kleene and Boolean all occur
 
     def test_tag_implications(self, fm1):
         for alg in (fm1, boolean_two()):

@@ -211,6 +211,18 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert doc["kind"] == "algebra" and len(doc["elements"]) == 6
 
+    @pytest.mark.parametrize("kind", ["poset", "invposet"])
+    def test_dualize_to_algebra_refuses_too_many_downsets(self, kind, cli):
+        # a 40-point antichain has 2^40 down-sets; the walk stops past 4,096
+        names = [f"a{k}" for k in range(40)]
+        doc = {"kind": kind, "elements": names, "covers": []}
+        if kind == "invposet":
+            doc["inv"] = {x: names[39 - k] for k, x in enumerate(names)}
+        argv = ["dualize", "-", "--direction", "to-algebra"]
+        code, out = cli(argv, stdin_text=json.dumps(doc))
+        assert code == 4
+        assert json.loads(out) == {"error": "down-set guard: more than 4096 down-sets"}
+
     def test_projective_report_carries_witnesses(self, data_dir, cli):
         code, out = cli(
             ["projective", str(data_dir / "antichain2_swap.json"), "--variety", "dm"]

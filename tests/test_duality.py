@@ -19,7 +19,7 @@ from morgan_unify import (
     validate_poset,
 )
 from morgan_unify.algebra import TAG_BOOLEAN, TAG_KLEENE
-from morgan_unify.involutive import make_inv_morphism
+from morgan_unify.involutive import make_inv_morphism, make_invposet
 
 from morphisms import (
     canonical_iso,
@@ -98,7 +98,9 @@ class TestObjectLevel:
         assert len(alg) == 6
         assert TAG_KLEENE in alg.variety_tags
         assert (
-            find_isomorphism(alg.carrier, fm1.carrier, op_p=alg.neg, op_q=fm1.neg)
+            find_inv_isomorphism(
+                make_invposet(alg.carrier, alg.neg), make_invposet(fm1.carrier, fm1.neg)
+            )
             is not None
         )
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -18,7 +19,7 @@ from morgan_unify import (
     validate_poset,
 )
 from morgan_unify.involutive import make_inv_morphism, make_invposet
-from morgan_unify.order import _iso_signature
+from morgan_unify.order import _iso_signature, bits
 
 from morphisms import compose_inv
 from reference import (
@@ -28,6 +29,7 @@ from reference import (
     pairwise_product,
     permutation_involutions,
     poset_from_mask,
+    reference_inv_restrict,
     reference_invposets_upto,
     transitive_masks,
 )
@@ -122,8 +124,37 @@ class TestKleenePart:
         part = set(kleene_part(iv).elements)
         for keep in itertools.combinations(iv.elements, max(len(iv) - 2, 0)):
             closed = set(keep) | {iv.i(x) for x in keep}
-            sub = iv.restrict(closed)
+            sub = iv.restrict(iv.base.mask(closed))
             assert set(kleene_part(sub).elements) <= part | (closed - set(iv.elements))
+
+
+class TestRestrict:
+    def test_witness_is_the_first_point_not_closed(self, pattern_instances):
+        # the set iteration of the name form gave d, d, c, c, b, c under
+        # hash seeds 0-5
+        p = pattern_instances["k1"]
+        with pytest.raises(ValidationError, match="'a'") as exc:
+            p.restrict(p.base.mask("abcd"))
+        assert exc.value.witness == "a"
+
+    def test_mask_form_matches_the_name_form(self, invposets_upto_6):
+        rng = random.Random(26)
+        closed = 0
+        for iv in invposets_upto_6:
+            n = len(iv)
+            for m in [0, (1 << n) - 1, *[rng.getrandbits(n) for _ in range(4)]]:
+                names = iv.base.members(m)
+                missing = [k for k in bits(m) if not m >> iv.mate[k] & 1]
+                if not missing:
+                    closed += 1
+                    assert iv.restrict(m) == reference_inv_restrict(iv, names)
+                    continue
+                with pytest.raises(ValidationError) as exc:
+                    iv.restrict(m)
+                assert exc.value.witness == iv.elements[missing[0]]
+                with pytest.raises(ValidationError):
+                    reference_inv_restrict(iv, names)
+        assert 0 < closed < 6 * len(invposets_upto_6)
 
 
 class TestInvMorphisms:

@@ -95,10 +95,10 @@ def _resolve_variety(raw: str) -> str:
 
 
 def _default_variety(structure) -> str:
-    if isinstance(structure, Poset):
-        return "bdl"
     if isinstance(structure, InvPoset):
         return "kleene" if structure.is_kleene else "demorgan"
+    if isinstance(structure, Poset):
+        return "bdl"
     raise PreconditionError("algebras have no default variety; dualize first")
 
 

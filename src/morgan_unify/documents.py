@@ -70,18 +70,18 @@ def _sorted_covers(p: Poset) -> list[list[str]]:
 
 
 def structure_document(s: Structure) -> dict[str, Any]:
+    if isinstance(s, InvPoset):
+        return {
+            "kind": "invposet",
+            "elements": list(s.elements),
+            "covers": _sorted_covers(s),
+            "inv": {x: s.i(x) for x in s.elements},
+        }
     if isinstance(s, Poset):
         return {
             "kind": "poset",
             "elements": list(s.elements),
             "covers": _sorted_covers(s),
-        }
-    if isinstance(s, InvPoset):
-        return {
-            "kind": "invposet",
-            "elements": list(s.elements),
-            "covers": _sorted_covers(s.base),
-            "inv": {x: s.i(x) for x in s.elements},
         }
     doc = {
         "kind": "algebra",

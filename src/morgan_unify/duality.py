@@ -71,11 +71,10 @@ def demorgan_dual(a: FiniteAlgebra) -> InvPoset:
 
 def demorgan_from_dual(p: InvPoset) -> FiniteAlgebra:
     """De Morgan algebra of downsets of p with X' = carrier minus i(X)."""
-    base = p.base
-    masks, carrier = _downset_lattice(base)
-    full = (1 << len(base)) - 1
+    masks, carrier = _downset_lattice(p)
+    full = (1 << len(p)) - 1
     neg = {}
     for d, name in zip(masks, carrier.elements):
         image = sum(1 << p.mate[i] for i in bits(d))
-        neg[name] = _downset_name(base, full & ~image)
+        neg[name] = _downset_name(p, full & ~image)
     return trusted_algebra(carrier, neg)

@@ -1,10 +1,12 @@
 """Involutive posets and their morphisms: duals of De Morgan algebras.
 
-An `InvPoset` stores its involution as `mate`, the index of i(x) for
-each x; `inv`, `i()` and the point masks are views of it.  Provides the
-distinguished four-element object DIAMOND, finite products and powers,
-the largest Kleene substructure, and enumeration of both objects and
-morphisms at desk scale.
+An `InvPoset` is a `Poset` that also stores its involution as `mate`,
+the index of i(x) for each x; `inv`, `i()` and the point masks are
+views of it, and every order view of `Poset` applies as it is.  An
+`InvMorphism` is a `MonotoneMap` whose check also asks it to commute
+with the involutions.  Provides the distinguished four-element object
+DIAMOND, finite products and powers, the largest Kleene substructure,
+and enumeration of both objects and morphisms at desk scale.
 """
 
 from __future__ import annotations
@@ -29,22 +31,14 @@ from .order import (
 
 
 @dataclass(frozen=True)
-class InvPoset:
+class InvPoset(Poset):
     """Finite poset with an antitone involution (object of FPM)."""
 
-    base: Poset
     mate: tuple[int, ...]
 
     @cached_property
     def inv(self) -> dict[str, str]:
         return {x: self.elements[j] for x, j in zip(self.elements, self.mate)}
-
-    @property
-    def elements(self) -> tuple[str, ...]:
-        return self.base.elements
-
-    def __len__(self) -> int:
-        return len(self.base.elements)
 
     def i(self, x: str) -> str:
         return self.inv[x]
@@ -57,7 +51,7 @@ class InvPoset:
     @cached_property
     def self_below_mask(self) -> int:
         """The bitmask of the self-below points, x <= i(x)."""
-        up = self.base.up_masks
+        up = self.up_masks
         return sum(1 << k for k, j in enumerate(self.mate) if up[k] >> j & 1)
 
     @cached_property
@@ -73,7 +67,7 @@ class InvPoset:
 
     @cached_property
     def fixed_points(self) -> tuple[str, ...]:
-        return self.base.members(self.fixed_mask)
+        return self.members(self.fixed_mask)
 
     def restrict(self, keep: int) -> "InvPoset":
         """Induced substructure on the mask `keep`, which must be closed
@@ -88,12 +82,14 @@ class InvPoset:
                 )
         new_index = {k: r for r, k in enumerate(kept)}
         mate = tuple([new_index[self.mate[k]] for k in kept])
-        return InvPoset(self.base.restrict(keep), mate)
+        sub = Poset.restrict(self, keep)
+        return InvPoset(sub.elements, sub.up_masks, mate)
 
 
 def make_invposet(base: Poset, inv: dict[str, str]) -> InvPoset:
     index = base.index
-    return InvPoset(base, tuple([index[inv[x]] for x in base.elements]))
+    mate = tuple([index[inv[x]] for x in base.elements])
+    return InvPoset(base.elements, base.up_masks, mate)
 
 
 def mirror_closure(
@@ -129,13 +125,14 @@ def validate_involutive(base: Poset, inv: dict[str, str]) -> InvPoset:
             raise ValidationError(
                 f"not involutive at {x!r}: i(i({x!r})) = {inv[inv[x]]!r}", witness=x
             )
-    bad = antitone_violation(base, inv)
+    p = make_invposet(base, inv)
+    bad = antitone_violation(p, inv)
     if bad is not None:
         a, b = bad
         raise ValidationError(
             f"involution not antitone on {a!r} <= {b!r}", witness=(a, b)
         )
-    return make_invposet(base, inv)
+    return p
 
 
 #: Dual of the one-generated free De Morgan algebra: 2 <= 0,1 <= 3,
@@ -147,30 +144,9 @@ DIAMOND = validate_involutive(
 
 
 @dataclass(frozen=True)
-class InvMorphism:
-    dom: InvPoset
-    cod: InvPoset
-    mapping: tuple[Pair, ...]
-
-    @cached_property
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.mapping)
-
-    def __call__(self, x: str) -> str:
-        return self.as_dict[x]
-
-    @cached_property
-    def image(self) -> frozenset[str]:
-        return frozenset(self.as_dict.values())
-
-    @property
-    def monotone_part(self) -> MonotoneMap:
-        return MonotoneMap(self.dom.base, self.cod.base, self.mapping)
-
-    @cached_property
-    def is_embedding(self) -> bool:
-        """Whether the underlying monotone map is an order embedding."""
-        return self.monotone_part.is_embedding
+class InvMorphism(MonotoneMap):
+    """A monotone map between involutive posets that commutes with their
+    involutions (morphism of FPM)."""
 
     def check(self) -> None:
         f = self.as_dict
@@ -181,7 +157,7 @@ class InvMorphism:
                 raise ValidationError(
                     f"involution commutation fails at {x!r}", witness=x
                 )
-        self.monotone_part.check()
+        super().check()
 
 
 def make_inv_morphism(dom: InvPoset, cod: InvPoset, mapping: dict[str, str]) -> InvMorphism:
@@ -213,15 +189,15 @@ def product(p: InvPoset, q: InvPoset, sep: str = "") -> InvPoset:
             names[name] = None
     width = len(q.elements)
     up = []
-    for pu in p.base.up_masks:
+    for pu in p.up_masks:
         shifts = [j * width for j in bits(pu)]
-        for qu in q.base.up_masks:
+        for qu in q.up_masks:
             u = 0
             for s in shifts:
                 u |= qu << s
             up.append(u)
     mate = tuple([a * width + b for a in p.mate for b in q.mate])
-    return InvPoset(Poset(tuple(names), tuple(up)), mate)
+    return InvPoset(tuple(names), tuple(up), mate)
 
 
 def power(p: InvPoset, n: int, sep: str = "") -> InvPoset:
@@ -229,7 +205,7 @@ def power(p: InvPoset, n: int, sep: str = "") -> InvPoset:
     if n < 0:
         raise ValidationError("power exponent must be nonnegative")
     if n == 0:
-        return InvPoset(Poset(("",), (1,)), (0,))
+        return InvPoset(("",), (1,), (0,))
     return reduce(lambda acc, _: product(acc, p, sep), range(n - 1), p)
 
 
@@ -244,12 +220,12 @@ def enumerate_inv_morphisms(p: InvPoset, q: InvPoset) -> Iterator[InvMorphism]:
     Searches involution orbits in a linear extension of the domain,
     pruning by monotonicity and commutation jointly.
     """
-    for f in search_maps(p.base, q.base, dom_mate=p.mate, cod_mate=q.mate):
+    for f in search_maps(p, q, dom_mate=p.mate, cod_mate=q.mate):
         yield make_inv_morphism(p, q, f)
 
 
 def find_inv_isomorphism(p: InvPoset, q: InvPoset) -> dict[str, str] | None:
-    return find_isomorphism(p.base, q.base, p.mate, q.mate)
+    return find_isomorphism(p, q, p.mate, q.mate)
 
 
 def enumerate_invposets_upto(
@@ -281,7 +257,7 @@ def enumerate_invposets_upto(
     """
     if k < 0:
         return
-    levels = [[InvPoset(Poset((), ()), ())]]
+    levels = [[InvPoset((), (), ())]]
     yield levels[0][0]
     for n in range(1, k + 1):
         levels.append(_grow_invposets(n, levels))
@@ -294,12 +270,12 @@ def _grow_invposets(n: int, levels: list[list[InvPoset]]) -> list[InvPoset]:
     top = 1 << (n - 1)
     children = []  # (up-masks, involution as an index map)
     for rep in levels[n - 1]:
-        children.append(([*rep.base.up_masks, top], (*rep.mate, n - 1)))
+        children.append(([*rep.up_masks, top], (*rep.mate, n - 1)))
     for rep in levels[n - 2] if n >= 2 else ():
         mate = rep.mate
-        shifted = [u << 1 for u in rep.base.up_masks]
+        shifted = [u << 1 for u in rep.up_masks]
         grown_mate = (n - 1, *[jj + 1 for jj in mate], 0)
-        for d in downset_masks(rep.base):
+        for d in downset_masks(rep):
             i_d = 0
             for j in bits(d):
                 i_d |= 1 << mate[j]
@@ -312,10 +288,9 @@ def _grow_invposets(n: int, levels: list[list[InvPoset]]) -> list[InvPoset]:
     buckets: dict[object, list[InvPoset]] = {}
     grown = []
     for up, mate in children:
-        base = Poset(names, tuple(up))
-        cand = InvPoset(base, mate)
+        cand = InvPoset(names, tuple(up), mate)
         fixed = sum(1 for j, jj in enumerate(mate) if j == jj)
-        known = buckets.setdefault((_iso_signature(base), fixed), [])
+        known = buckets.setdefault((_iso_signature(cand), fixed), [])
         if not any(find_inv_isomorphism(cand, r) is not None for r in known):
             known.append(cand)
             grown.append(cand)

@@ -98,17 +98,11 @@ class Poset:
         except KeyError:
             return False
 
-    def _union(self, masks: tuple[int, ...], xs: Iterable[str]) -> frozenset[str]:
+    def up_of(self, xs: Iterable[str]) -> frozenset[str]:
         m = 0
         for x in xs:
-            m |= masks[self.index[x]]
+            m |= self.up_masks[self.index[x]]
         return frozenset(self.members(m))
-
-    def down_of(self, xs: Iterable[str]) -> frozenset[str]:
-        return self._union(self.down_masks, xs)
-
-    def up_of(self, xs: Iterable[str]) -> frozenset[str]:
-        return self._union(self.up_masks, xs)
 
     def interval(self, x: str, y: str) -> frozenset[str]:
         idx = self.index
@@ -169,9 +163,6 @@ class Poset:
                     out.append((elems[a], elems[b]))
                 rest &= ~up[b]
         return tuple(out)
-
-    def dual(self) -> "Poset":
-        return Poset(self.elements, self.down_masks)
 
     def restrict(self, keep: int) -> "Poset":
         """Induced subposet on the points of the mask `keep`; element

@@ -50,11 +50,13 @@ class ConditionReport:
 
 
 def self_below_subposet(p: InvPoset) -> Poset:
-    return p.base.restrict(p.self_below_mask)
+    """The induced subposet on the self-below points, x <= i(x), as a
+    bare `Poset`: the involution sends them out of it."""
+    return Poset.restrict(p, p.self_below_mask)
 
 
 def check_m2(p: InvPoset) -> tuple[bool, str | None]:
-    up, fixed = p.base.up_masks, p.fixed_mask
+    up, fixed = p.up_masks, p.fixed_mask
     for x in bits(p.self_below_mask):
         if not up[x] & fixed:
             return False, p.elements[x]
@@ -65,7 +67,7 @@ def check_k2(p: InvPoset) -> tuple[bool, tuple[str, str] | None]:
     # i is an antitone involution, so x <= i(y) exactly when y <= i(x):
     # the partners y of x are the self-below points below i(x), taken
     # from x's index up
-    up, down, mate = p.base.up_masks, p.base.down_masks, p.mate
+    up, down, mate = p.up_masks, p.down_masks, p.mate
     below = p.self_below_mask
     for x in bits(below):
         for y in bits(below & down[mate[x]] & -(1 << x)):
@@ -76,7 +78,7 @@ def check_k2(p: InvPoset) -> tuple[bool, tuple[str, str] | None]:
 
 def condition_report(p: InvPoset) -> ConditionReport:
     witnesses: dict[str, object] = {}
-    rep = lattice_report(p.base)
+    rep = lattice_report(p)
     m1 = rep.is_nonempty_lattice
     if not m1:
         witnesses["m1"] = rep.witness
@@ -97,9 +99,7 @@ def condition_report(p: InvPoset) -> ConditionReport:
     return ConditionReport(m1, m2, m3, k1, k2, witnesses)
 
 
-def is_projective_dual(
-    p: Poset | InvPoset, variety: str
-) -> tuple[bool, ConditionReport]:
+def is_projective_dual(p: Poset, variety: str) -> tuple[bool, ConditionReport]:
     """Theorem-based projectivity decision on the dual object.
 
     bdl needs a nonempty lattice; demorgan needs m1, m2, m3; kleene
@@ -108,10 +108,9 @@ def is_projective_dual(
     if variety not in VARIETIES:
         raise PreconditionError(f"unknown variety {variety!r}")
     if variety == "bdl":
-        base = p.base if isinstance(p, InvPoset) else p
-        if not isinstance(base, Poset):
+        if not isinstance(p, Poset):
             raise PreconditionError("variety 'bdl' needs a poset")
-        rep = lattice_report(base)
+        rep = lattice_report(p)
         report = ConditionReport(
             rep.is_nonempty_lattice,
             True,
@@ -176,7 +175,7 @@ def _columns(p: InvPoset, prune: bool) -> list[int]:
     n = len(p.elements)
     if not prune:
         return list(range(n))
-    up, down = p.base.up_masks, p.base.down_masks
+    up, down = p.up_masks, p.down_masks
     inv = p.mate
     full = (1 << n) - 1
 
@@ -213,7 +212,7 @@ def _embed(p: InvPoset, columns: list[int]) -> tuple[int, dict[str, str]]:
     # the coordinate at q classifies x against the principal downset of
     # q and its De Morgan complement: x <= q and i(x) !<= q -> "2", x <= q
     # only -> "0", i(x) !<= q only -> "1", neither -> "3"
-    up = p.base.up_masks
+    up = p.up_masks
     inv_up = [up[j] for j in p.mate]
     vectors = {
         x: "".join("1320"[2 * (up[k] >> q & 1) + (inv_up[k] >> q & 1)] for q in columns)
@@ -232,17 +231,17 @@ _SWAP = str.maketrans(DIGITS, "".join(DIAMOND.i(d) for d in DIGITS))
 
 
 def _coordinate_masks(
-    base: Poset, vectors: dict[str, str]
+    p: Poset, vectors: dict[str, str]
 ) -> tuple[list[dict[str, int]], list[dict[str, int]]]:
     """For each coordinate c and digit d, the mask of the points whose
     digit at c is at most d in DIAMOND, and the mask of those at least d."""
     n = len(next(iter(vectors.values())))
     at = [dict.fromkeys(DIGITS, 0) for _ in range(n)]
     for x, v in vectors.items():
-        bit = 1 << base.index[x]
+        bit = 1 << p.index[x]
         for c, d in enumerate(v):
             at[c][d] |= bit
-    d_down, d_up = DIAMOND.base.down_masks, DIAMOND.base.up_masks
+    d_down, d_up = DIAMOND.down_masks, DIAMOND.up_masks
 
     def union(a: dict[str, int], m: int) -> int:
         out = 0
@@ -264,23 +263,22 @@ def _check_embedding(p: InvPoset, vectors: dict[str, str]) -> None:
     embedding is monotone and order-reflecting exactly when that is
     y's down-set, and then injective by antisymmetry.
     """
-    base = p.base
     for x in p.elements:
         if vectors[p.i(x)] != vectors[x].translate(_SWAP):
             raise ValidationError(f"involution commutation fails at {x!r}", witness=x)
-    le, _ = _coordinate_masks(base, vectors)
+    le, _ = _coordinate_masks(p, vectors)
     for k, y in enumerate(p.elements):
         below = (1 << len(p.elements)) - 1
         for c, d in enumerate(vectors[y]):
             below &= le[c][d]
-        down = base.down_masks[k]
+        down = p.down_masks[k]
         if below == down:
             continue
         missing, extra = down & ~below, below & ~down
         if missing:
-            x = base.elements[(missing & -missing).bit_length() - 1]
+            x = p.elements[(missing & -missing).bit_length() - 1]
             raise ValidationError(f"monotonicity fails on {x!r} <= {y!r}", witness=(x, y))
-        x = base.elements[(extra & -extra).bit_length() - 1]
+        x = p.elements[(extra & -extra).bit_length() - 1]
         if vectors[x] == vectors[y]:
             raise ValidationError(
                 f"embedding not injective: {x!r} and {y!r}", witness=x
@@ -311,7 +309,7 @@ def _cover_steps(n: int) -> Iterator[tuple[int, int]]:
 
     Their reflexive-transitive closure is the order of power(DIAMOND, n).
     """
-    d_covers = [(DIGITS.index(a), DIGITS.index(b)) for a, b in DIAMOND.base.covers()]
+    d_covers = [(DIGITS.index(a), DIGITS.index(b)) for a, b in DIAMOND.covers()]
     for c in range(n):
         w = 4 ** (n - 1 - c)
         for high in range(0, 4**n, 4 * w):
@@ -354,22 +352,21 @@ def build_retraction(
             f"retraction ambient D^{n} too large; pass a pruned embedding"
         )
     _check_vectors(p, n, vectors)
-    base = p.base
-    up, down = base.up_masks, base.down_masks
-    by_down, by_up = base._mask_index
-    full = (1 << len(base)) - 1
+    up, down = p.up_masks, p.down_masks
+    by_down, by_up = p._mask_index
+    full = (1 << len(p)) - 1
     names = _vector_names(n)
     position = {v: k for k, v in enumerate(names)}
     mate = [position[v.translate(_SWAP)] for v in names]  # index of i(v)
     # the originals below (above) a vector: the points whose digit is at
     # most (at least) the vector's, coordinate by coordinate, built in
     # element order one coordinate at a time
-    le, ge = _coordinate_masks(base, vectors)
+    le, ge = _coordinate_masks(p, vectors)
     below, above = [full], [full]
     for c in range(n):
         below = [m & le[c][d] for m in below for d in DIGITS]
         above = [m & ge[c][d] for m in above for d in DIGITS]
-    image = {v: base.index[x] for x, v in vectors.items()}
+    image = {v: p.index[x] for x, v in vectors.items()}
     fixed, inv = p.fixed_mask, p.mate
 
     def bound(m: int, masks: tuple[int, ...], lookup: dict[int, int]) -> int | None:
@@ -439,9 +436,9 @@ def build_retraction(
                 witness=(names[k], names[j]),
             )
     for x, v in vectors.items():
-        if r[position[v]] != base.index[x]:
+        if r[position[v]] != p.index[x]:
             raise ValidationError(f"retraction does not fix {x!r}", witness=x)
-    return {names[k]: base.elements[r[k]] for k in kept}
+    return {names[k]: p.elements[r[k]] for k in kept}
 
 
 def oracle_retraction_search(
@@ -455,20 +452,23 @@ def oracle_retraction_search(
     canonical order, or None after exhausting the space.  Guarded to
     embeddings of dimension at most 4, and to ORACLE_NODES search nodes.
     The default embedding is `oracle_embedding(p)`, on which every class
-    of at most 4 points ends in a verdict.
+    of at most 4 points ends in a verdict.  Under kleene, p must be a
+    Kleene object, as `build_retraction` asks.
     """
     if embedding is None:  # an input too large is refused whatever the variety
         embedding = oracle_embedding(p)
     if variety not in ("demorgan", "kleene"):
         raise PreconditionError("oracle supports demorgan and kleene")
+    if variety == "kleene" and not p.is_kleene:
+        raise PreconditionError("kleene retraction oracle asked of a non-Kleene object")
     n, vectors = embedding
     _oracle_guard(n)
     _check_vectors(p, n, vectors)
     dom = power(DIAMOND, n)
     if variety == "kleene":
         dom = kleene_part(dom)
-    forced = {v: (x,) for x, v in vectors.items() if v in dom.base}
-    maps = search_maps(dom.base, p.base, forced, dom.mate, p.mate, budget=ORACLE_NODES)
+    forced = {v: (x,) for x, v in vectors.items() if v in dom}
+    maps = search_maps(dom, p, forced, dom.mate, p.mate, budget=ORACLE_NODES)
     f = next(maps, None)
     return None if f is None else make_inv_morphism(dom, p, f)
 

@@ -43,7 +43,7 @@ UNITARY = "unitary"
 FINITARY = "finitary"
 NULLARY = "nullary"
 
-Unifier = Union[MonotoneMap, InvMorphism]
+Unifier = MonotoneMap
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class UnifClassification:
 
 def _require_variety(q, variety: str) -> None:
     if variety == "bdl":
-        if not isinstance(q, Poset):
+        if not isinstance(q, Poset) or isinstance(q, InvPoset):
             raise PreconditionError("bdl instances are bare posets")
     elif variety in ("kleene", "demorgan"):
         if not isinstance(q, InvPoset):
@@ -116,8 +116,7 @@ def kleene_core(q: InvPoset) -> InvPoset:
     """
     if not q.is_kleene:
         raise PreconditionError("kleene_core needs a Kleene object")
-    base = q.base
-    down, up = base.down_masks, base.up_masks
+    down, up = q.down_masks, q.up_masks
     mate, fixed, below = q.mate, q.fixed_mask, q.self_below_mask
     above = sum(1 << i for i, j in enumerate(mate) if up[j] >> i & 1)
     inside = sum(1 << i for i, (d, u) in enumerate(zip(down, up)) if (d | u) & fixed)
@@ -154,7 +153,7 @@ def demorgan_core(q: InvPoset) -> InvPoset:
     Keeps x when some single point sits below x, its involute, and a
     fixed point simultaneously; the order is plain restriction.
     """
-    down = q.base.down_masks
+    down = q.down_masks
     low = 0  # the points below some fixed point
     for z in bits(q.fixed_mask):
         low |= down[z]
@@ -167,8 +166,8 @@ def core_of(q: InvPoset, variety: str) -> InvPoset:
 
 def interval_structure(p: InvPoset, x: str) -> InvPoset:
     """The involution-closed interval [x, i(x)] with inherited structure."""
-    k = p.base.index[x]
-    return p.restrict(p.base.up_masks[k] & p.base.down_masks[p.mate[k]])
+    k = p.index[x]
+    return p.restrict(p.up_masks[k] & p.down_masks[p.mate[k]])
 
 
 def inclusion_unifier(sub: InvPoset, q: InvPoset) -> InvMorphism:
@@ -177,10 +176,13 @@ def inclusion_unifier(sub: InvPoset, q: InvPoset) -> InvMorphism:
 
 #: per involutive variety: the conditions a projective interval meets
 #: (the unitary test on the core, the finitary test on each piece), and
-#: the nullary family named by the first of them some piece fails
+#: the nullary family named by the first of them some piece fails.  On a
+#: lattice m3 holds (i is a dual automorphism, so the join of self-below
+#: points below each other's involutes is self-below): demorgan tests m1
+#: and m2 only
 _INTERVAL_TESTS = {
     "kleene": (("k1", "m3"), ("k1", "k2")),
-    "demorgan": (("m1", "m2", "m3"), ("m1", "m2", "m3")),
+    "demorgan": (("m1", "m2"), ("m1", "m2")),
 }
 
 
@@ -223,7 +225,7 @@ def classify(q, variety: str) -> UnifClassification:
             return UnifClassification(
                 True, UNITARY, MostGeneral(inclusion_unifier(core, q)), core
             )
-        pieces = [interval_structure(core, m) for m in core.base.minimals()]
+        pieces = [interval_structure(core, m) for m in core.minimals()]
         reports = [condition_report(p) for p in pieces]
         failed = [
             f for t, f in zip(tests, families) if not all(getattr(r, t) for r in reports)
@@ -296,7 +298,7 @@ _CROWN = "xa xb ac ad bc bd"
 _TRIPLE = "xa xb xc ad bd ae ce bf cf dy ez fw"
 _NOBODY_BETWEEN = (ANY, "ab", "cd")
 
-#: the six nullarity families; k2 and m3 share the triple
+#: the five nullarity families
 PATTERNS = {
     "bdl": Pattern("xabcdy", _CROWN + " cy dy", 5, {}, _NOBODY_BETWEEN),
     "k1": Pattern("xabcdyz", _CROWN + " cy dz", 5, {"y": FIXED, "z": FIXED}, _NOBODY_BETWEEN),
@@ -304,25 +306,23 @@ PATTERNS = {
     "m1": Pattern("xabcdy", _CROWN + " xy", 5, {"y": FIXED}, _NOBODY_BETWEEN),
     "m2": Pattern("xab", "xa xb", 2, {"a": SELF_BELOW, "b": FIXED}, (FIXED, "a", "")),
 }
-PATTERNS["m3"] = PATTERNS["k2"]
 
 
-def _pattern_env(struct, family: str) -> tuple[Pattern, Poset, dict[str, int]]:
-    """The family's pattern, the base poset and a bitmask of each kind."""
+def _pattern_env(struct, family: str) -> tuple[Pattern, dict[str, int]]:
+    """The family's pattern and a bitmask of each kind of point."""
     if family not in PATTERNS:
         raise PreconditionError(f"unknown pattern family {family!r}")
-    base = struct.base if isinstance(struct, InvPoset) else struct
-    kinds = {ANY: (1 << len(base.elements)) - 1}
+    kinds = {ANY: (1 << len(struct.elements)) - 1}
     if isinstance(struct, InvPoset):
         kinds[FIXED] = struct.fixed_mask
         kinds[SELF_BELOW] = struct.self_below_mask
     elif family != "bdl":
         raise PreconditionError(f"family {family!r} needs an involutive poset")
-    return PATTERNS[family], base, kinds
+    return PATTERNS[family], kinds
 
 
-def _clause_holds(pat: Pattern, base: Poset, kinds: dict[str, int], at: dict[str, int]) -> bool:
-    down, up = base.down_masks, base.up_masks
+def _clause_holds(pat: Pattern, p: Poset, kinds: dict[str, int], at: dict[str, int]) -> bool:
+    down, up = p.down_masks, p.up_masks
     kind, lows, highs = pat.clause
     between = kinds[kind]
     for t in lows:
@@ -345,17 +345,17 @@ def find_null_pattern(struct, family: str) -> dict[str, str] | None:
 
     Two prunes skip only what no match can use.  Under bdl, k1 and m1, c
     and d lie above a and b, so a join of a and b would sit between
-    them: b takes no point that has a join with a.  Under k2 and m3, d,
+    them: b takes no point that has a join with a.  Under k2, d,
     e and f lie below fixed points, so they and a, b, c are self-below
     (d <= y = i(y) <= i(d)) and a, b, c are pairwise bounded in the
     self-below part; if that part is 3-complete, a, b and c have a
     self-below join, which the clause forbids, so there is no match.
     """
-    pat, base, kinds = _pattern_env(struct, family)
-    if family in ("k2", "m3") and is_three_complete(self_below_subposet(struct))[0]:
+    pat, kinds = _pattern_env(struct, family)
+    if family == "k2" and is_three_complete(self_below_subposet(struct))[0]:
         return None
-    down, up = base.down_masks, base.up_masks
-    names = base.elements
+    down, up = struct.down_masks, struct.up_masks
+    names = struct.elements
     anchors = pat.anchors
     pos = {t: k for k, t in enumerate(anchors)}
     covers = [(pos[lo], pos[hi]) for lo, hi in pat.covers.split()]
@@ -377,7 +377,7 @@ def find_null_pattern(struct, family: str) -> dict[str, str] | None:
     reach = down if anchors[last] in lows else up
     val = [0] * len(anchors)
     a, b = (pos[t] for t in lows[:2]) if pat.clause == _NOBODY_BETWEEN else (-1, -1)
-    by_up = base._mask_index[1]
+    by_up = struct._mask_index[1]
     joinable: dict[int, int] = {}  # per value of a: b's values with a join with it
 
     def candidates(k: int) -> int:
@@ -429,14 +429,14 @@ def find_null_pattern(struct, family: str) -> dict[str, str] | None:
 def verify_null_pattern(struct, family: str, anchors: dict[str, str]) -> bool:
     """Re-check the family's covers, anchor kinds and negative clause on
     the given anchors."""
-    pat, base, kinds = _pattern_env(struct, family)
-    if not all(t in anchors and anchors[t] in base for t in pat.anchors):
+    pat, kinds = _pattern_env(struct, family)
+    if not all(t in anchors and anchors[t] in struct for t in pat.anchors):
         return False
-    at = {t: base.index[anchors[t]] for t in pat.anchors}
+    at = {t: struct.index[anchors[t]] for t in pat.anchors}
     return (
-        all(base.leq(anchors[lo], anchors[hi]) for lo, hi in pat.covers.split())
+        all(struct.leq(anchors[lo], anchors[hi]) for lo, hi in pat.covers.split())
         and all(kinds[k] >> at[t] & 1 for t, k in pat.kinds.items())
-        and _clause_holds(pat, base, kinds, at)
+        and _clause_holds(pat, struct, kinds, at)
     )
 
 
@@ -467,13 +467,8 @@ def more_general(u1: Unifier, u2: Unifier) -> bool:
     for t in u1.dom.elements:
         fibres.setdefault(u1(t), []).append(t)
     allowed = {x: fibres.get(u2(x), ()) for x in u2.dom.elements}
-    if isinstance(u1, InvMorphism):
-        maps = search_maps(
-            u2.dom.base, u1.dom.base, allowed, u2.dom.mate, u1.dom.mate
-        )
-    else:
-        maps = search_maps(u2.dom, u1.dom, allowed)
-    return next(maps, None) is not None
+    mates = (u2.dom.mate, u1.dom.mate) if isinstance(u1, InvMorphism) else ()
+    return next(search_maps(u2.dom, u1.dom, allowed, *mates), None) is not None
 
 
 @lru_cache(maxsize=None)
@@ -522,7 +517,7 @@ def enumerate_unifiers_bounded(q, variety: str, k: int) -> Iterator[Unifier]:
 class WitnessFamily:
     family: str
     n: int
-    structure: Poset | InvPoset
+    structure: Poset
     anchors: tuple[tuple[str, str], ...]
 
     @property
@@ -535,21 +530,27 @@ def witness_family(family: str, n: int) -> WitnessFamily:
 
     Anchor names refer to the family's pattern tuple; elements without
     an anchor are the involution mirrors, closed during instantiation.
+    An n past the family's cap raises SizeGuardError.
     """
+    # per family the builder, the least n and the greatest: the largest
+    # round n whose `witness` command takes at most about 2 s (2 vCPU
+    # Xeon); one step past it took 3.0 s (bdl 200) to 4.2 s (m2 13)
     builders = {
-        "bdl": (_witness_bdl, 1),
-        "k1": (_witness_k1, 2),
-        "k2": (_witness_k2, 2),
-        "m1": (_witness_m1, 1),
-        "m2": (_witness_m2, 1),
+        "bdl": (_witness_bdl, 1, 160),
+        "k1": (_witness_k1, 2, 80),
+        "k2": (_witness_k2, 2, 30),
+        "m1": (_witness_m1, 1, 80),
+        "m2": (_witness_m2, 1, 11),
     }
     if family not in builders:
         raise PreconditionError(f"unknown witness family {family!r}")
-    builder, minimum = builders[family]
+    builder, minimum, maximum = builders[family]
     if n < minimum:
         raise PreconditionError(f"family {family!r} needs n >= {minimum}")
     if family == "m2" and n % 2 == 0:
         raise PreconditionError("family 'm2' needs odd n")
+    if n > maximum:
+        raise SizeGuardError(f"witness guard: family {family!r} needs n <= {maximum}")
     return builder(n)
 
 
@@ -690,14 +691,10 @@ def _witness_m2(n: int) -> WitnessFamily:
     inv = {"d": "d"}
     for v in vectors:
         inv[v] = "".join("1" if c == "0" else "0" for c in v)
-    le_pairs = [
-        (u, v)
-        for u in vectors
-        for v in vectors
-        if all(cu <= cv for cu, cv in zip(u, v))
-    ]
-    le_pairs += [("0" * n, "d"), ("d", "1" * n), ("d", "d")]
-    structure = validate_poset(elems, le_pairs, mode="covers")
+    # v is covered by each vector with one of its 0s turned to 1
+    covers = [(v, v[:k] + "1" + v[k + 1 :]) for v in vectors for k, c in enumerate(v) if c == "0"]
+    covers += [("0" * n, "d"), ("d", "1" * n)]
+    structure = validate_poset(elems, covers)
     iv = validate_involutive(structure, inv)
     anchors = {"0" * n: "x", "d": "b"}
     for v in vectors:
@@ -726,7 +723,7 @@ def instantiate_witness(wf: WitnessFamily, pattern: dict[str, str], q) -> Unifie
         u = make_inv_morphism(wf.structure, q, mapping)
         u.check()
         return u
-    if not isinstance(q, Poset):
+    if not isinstance(q, Poset) or isinstance(q, InvPoset):
         raise PreconditionError("bdl witness needs a bare poset instance")
     mapping = {t: pattern[anchors[t]] for t in wf.structure.elements}
     u = make_monotone_map(wf.structure, q, mapping)

@@ -170,7 +170,7 @@ def dual_of_hom(h: Homomorphism) -> MonotoneMap | InvMorphism:
 def hom_of_map(f: MonotoneMap | InvMorphism) -> Homomorphism:
     """Preimage homomorphism between downset algebras, contravariant to f."""
     if isinstance(f, InvMorphism):
-        dom_p, cod_p = f.dom.base, f.cod.base
+        dom_p, cod_p = f.dom, f.cod
         alg_dom = demorgan_from_dual(f.cod)
         alg_cod = demorgan_from_dual(f.dom)
     else:

@@ -40,7 +40,9 @@ pair by pair, before they walked `InvPoset`'s index view.
 `reference_restrict` and `reference_inv_restrict` are the substructure
 selections by element name that the mask selections replaced, and
 `reference_derive_tags` the variety tags read off full join and meet
-tables.
+tables.  `bare` forgets an involutive poset's involution, and `dual` and
+`down_of` are the order-reversed poset and the down-set of a selection,
+which no library routine needs.
 """
 
 import functools
@@ -130,6 +132,24 @@ def le_pairs(p: Poset) -> frozenset[tuple[str, str]]:
     )
 
 
+def bare(p: Poset) -> Poset:
+    """The order of p alone: an `InvPoset` without its involution."""
+    return Poset(p.elements, p.up_masks)
+
+
+def dual(p: Poset) -> Poset:
+    """p with its order reversed."""
+    return Poset(p.elements, p.down_masks)
+
+
+def down_of(p: Poset, xs) -> frozenset[str]:
+    """The points below some point of `xs`."""
+    m = 0
+    for x in xs:
+        m |= p.down_masks[p.index[x]]
+    return frozenset(p.members(m))
+
+
 def from_pairs(elements, le) -> Poset:
     """Trusted construction from a reflexive-transitively closed
     relation; reflexive pairs may be left out.  Nothing is checked."""
@@ -196,7 +216,7 @@ def involutions_of(p: Poset):
     pairs, is an isomorphism: an anti-automorphism of p.  The
     involutions are the self-inverse ones.
     """
-    for sigma in search_maps(p, p.dual(), injective=True):
+    for sigma in search_maps(p, dual(p), injective=True):
         if all(sigma[sigma[x]] == x for x in sigma):
             yield sigma
 
@@ -303,15 +323,15 @@ def reference_columns(p: InvPoset, prune: bool) -> list[dict[str, str]]:
         raise PreconditionError("cannot embed the empty involutive poset")
     columns = []
     for q in p.elements:
-        down = p.base.down_of([q])
+        down = down_of(p, [q])
         columns.append({x: _coordinate(p, down, x) for x in p.elements})
     if prune:
-        d_le = le_pairs(DIAMOND.base)
+        d_le = le_pairs(DIAMOND)
         separating = [
             sum(1 << k for k, c in enumerate(columns) if (c[x], c[y]) not in d_le)
             for x in p.elements
             for y in p.elements
-            if not p.base.leq(x, y)
+            if not p.leq(x, y)
         ]
         kept = (1 << len(columns)) - 1
         for k in reversed(range(len(columns))):
@@ -336,8 +356,8 @@ def greedy_pruned_vectors(p: InvPoset) -> dict[str, str]:
             return False
         for x in p.elements:
             for y in p.elements:
-                if not p.base.leq(x, y):
-                    if all(DIAMOND.base.leq(c[x], c[y]) for c in cols):
+                if not p.leq(x, y):
+                    if all(DIAMOND.leq(c[x], c[y]) for c in cols):
                         return False
         return True
 
@@ -359,8 +379,8 @@ def scan_columns(p: InvPoset, prune: bool) -> list[int]:
     n = len(p.elements)
     if not prune:
         return list(range(n))
-    up = p.base.up_masks
-    inv_up = [up[p.base.index[p.i(x)]] for x in p.elements]
+    up = p.up_masks
+    inv_up = [up[p.index[p.i(x)]] for x in p.elements]
     separating = [
         (up[y] & ~up[x]) | (inv_up[x] & ~inv_up[y])
         for x in range(n)
@@ -394,7 +414,7 @@ def materialised_check_embedding(
         seen[vectors[x]] = x
     for x in p.elements:
         for y in p.elements:
-            if target.base.leq(vectors[x], vectors[y]) and not p.base.leq(x, y):
+            if target.leq(vectors[x], vectors[y]) and not p.leq(x, y):
                 raise ValidationError(
                     f"embedding not order-reflecting on ({x!r}, {y!r})",
                     witness=(x, y),
@@ -411,8 +431,8 @@ def materialised_embedding(p: InvPoset, prune: bool = False) -> tuple[int, InvMo
             f"embedding ambient D^{len(columns)} too large; prune or shrink the input"
         )
     n = len(columns)
-    up = p.base.up_masks
-    inv_up = [up[p.base.index[p.i(x)]] for x in p.elements]
+    up = p.up_masks
+    inv_up = [up[p.index[p.i(x)]] for x in p.elements]
     vectors = {
         x: "".join("1320"[2 * (up[k] >> q & 1) + (inv_up[k] >> q & 1)] for q in columns)
         for k, x in enumerate(p.elements)
@@ -446,23 +466,22 @@ def materialised_retraction(
         )
     dom = kleene_part(e.cod) if variety == "kleene" else e.cod
     image = {e(x): x for x in p.elements}
-    base = p.base
 
-    idx, image_mask = dom.base.index, dom.base.mask(image)
+    idx, image_mask = dom.index, dom.mask(image)
 
     def originals_below(v: str) -> list[str]:
-        below = dom.base.down_masks[idx[v]] & image_mask
-        return [image[w] for w in dom.base.members(below)]
+        below = dom.down_masks[idx[v]] & image_mask
+        return [image[w] for w in dom.members(below)]
 
     def originals_above(v: str) -> list[str]:
-        above = dom.base.up_masks[idx[v]] & image_mask
-        return [image[w] for w in dom.base.members(above)]
+        above = dom.up_masks[idx[v]] & image_mask
+        return [image[w] for w in dom.members(above)]
 
     def fixed_between(lo: str | None, hi: str | None) -> str:
         for y in p.fixed_points:
-            if lo is not None and not base.leq(lo, y):
+            if lo is not None and not p.leq(lo, y):
                 continue
-            if hi is not None and not base.leq(y, hi):
+            if hi is not None and not p.leq(y, hi):
                 continue
             return y
         raise ValidationError("no eligible fixed point; input not projective?")
@@ -473,15 +492,15 @@ def materialised_retraction(
             if v in image:
                 mapping[v] = image[v]
             elif dom.i(v) == v:
-                lo = base.join(originals_below(v))
-                hi = base.meet(originals_above(v))
+                lo = p.join(originals_below(v))
+                hi = p.meet(originals_above(v))
                 mapping[v] = fixed_between(lo, hi)
             else:
                 m = next(c for c in v if c in "23")
                 if m == "2":
-                    t = base.join(originals_below(v))
+                    t = p.join(originals_below(v))
                 else:
-                    t = base.meet(originals_above(v))
+                    t = p.meet(originals_above(v))
                 assert t is not None
                 mapping[v] = t
     else:
@@ -490,7 +509,7 @@ def materialised_retraction(
             if v in image:
                 mapping[v] = image[v]
                 continue
-            lo = base.join(originals_below(v))
+            lo = p.join(originals_below(v))
             if lo is None:
                 raise ValidationError(f"join of lower originals missing at {v!r}")
             if dom.i(v) == v:
@@ -518,14 +537,12 @@ NULL_PATTERN_SHAPES = {
     "m1": ("xabcdy", "xa xb ac ad bc bd xy"),
     "m2": ("xab", "xa xb"),
 }
-NULL_PATTERN_SHAPES["m3"] = NULL_PATTERN_SHAPES["k2"]
 
 
 def reference_find_null_pattern(struct, family: str) -> dict[str, str] | None:
     """First anchor tuple, in lexicographic order of its values along the
     certificate order, that `reference_verify_null_pattern` accepts.
     Tuples are pruned only by the covers."""
-    base = struct.base if isinstance(struct, InvPoset) else struct
     order, covers = NULL_PATTERN_SHAPES[family]
     lowers = [[order.index(lo) for lo, hi in covers.split() if hi == t] for t in order]
 
@@ -534,8 +551,8 @@ def reference_find_null_pattern(struct, family: str) -> dict[str, str] | None:
         if k == len(order):
             anchors = dict(zip(order, values))
             return anchors if reference_verify_null_pattern(struct, family, anchors) else None
-        for v in base.elements:
-            if all(base.leq(values[j], v) for j in lowers[k]):
+        for v in struct.elements:
+            if all(struct.leq(values[j], v) for j in lowers[k]):
                 found = extend(values + [v])
                 if found is not None:
                     return found
@@ -548,9 +565,9 @@ def search_maps_find_null_pattern(struct, family: str) -> dict[str, str] | None:
     """The pattern table's search as `search_maps` runs it: every
     cover-respecting match of the core anchors is built, and the negative
     clause is tested on each full match."""
-    pat, base, kinds = _pattern_env(struct, family)
-    down, up = base.down_masks, base.up_masks
-    names = base.elements
+    pat, kinds = _pattern_env(struct, family)
+    down, up = struct.down_masks, struct.up_masks
+    names = struct.elements
     allowed: dict[str, int] = {}
     for t in reversed(pat.anchors):
         m = kinds[pat.kinds.get(t, "any")]
@@ -568,9 +585,9 @@ def search_maps_find_null_pattern(struct, family: str) -> dict[str, str] | None:
         (t, [lo for lo, hi in pat.covers.split() if hi == t])
         for t in pat.anchors[pat.core :]
     ]
-    for match in search_maps(shape, base, options):
-        at = {t: base.index[v] for t, v in match.items()}
-        if not _clause_holds(pat, base, kinds, at):
+    for match in search_maps(shape, struct, options):
+        at = {t: struct.index[v] for t, v in match.items()}
+        if not _clause_holds(pat, struct, kinds, at):
             continue
         for t, lows in tops:
             m = allowed[t]
@@ -587,10 +604,7 @@ def search_maps_find_null_pattern(struct, family: str) -> dict[str, str] | None:
 def reference_verify_null_pattern(struct, family: str, anchors: dict[str, str]) -> bool:
     """Every clause of the family, written out family by family, with the
     nonexistence clause checked by a scan over all points."""
-    if isinstance(struct, InvPoset):
-        base, inv = struct.base, struct.inv
-    else:
-        base, inv = struct, None
+    base, inv = struct, struct.inv if isinstance(struct, InvPoset) else None
     g = anchors.__getitem__
     le = base.leq
     if family == "bdl":
@@ -609,7 +623,7 @@ def reference_verify_null_pattern(struct, family: str, anchors: dict[str, str]) 
             and le(g("d"), g("z")) and inv[g("z")] == g("z")
             and _nobody_between(base, g("a"), g("b"), g("c"), g("d"))
         )
-    if family in ("k2", "m3"):
+    if family == "k2":
         return (
             all(le(g("x"), v) for v in (g("a"), g("b"), g("c")))
             and le(g("a"), g("d")) and le(g("a"), g("e"))
@@ -641,7 +655,7 @@ def reference_verify_null_pattern(struct, family: str, anchors: dict[str, str]) 
 
 
 def _nobody_between(base: Poset, a: str, b: str, c: str, d: str) -> bool:
-    mids = base.up_of([a]) & base.up_of([b]) & base.down_of([c]) & base.down_of([d])
+    mids = base.up_of([a]) & base.up_of([b]) & down_of(base, [c]) & down_of(base, [d])
     return not mids
 
 
@@ -655,7 +669,7 @@ def upper_bounds(p: Poset, xs) -> frozenset[str]:
 def lower_bounds(p: Poset, xs) -> frozenset[str]:
     out = frozenset(p.elements)
     for x in xs:
-        out &= p.down_of([x])
+        out &= down_of(p, [x])
     return out
 
 
@@ -672,7 +686,7 @@ def scan_join(p: Poset, xs) -> str | None:
 def scan_meet(p: Poset, xs) -> str | None:
     lb = lower_bounds(p, xs)
     for v in p.elements:
-        if v in lb and lb <= p.down_of([v]):
+        if v in lb and lb <= down_of(p, [v]):
             return v
     return None
 
@@ -721,7 +735,7 @@ def pairwise_product(p: InvPoset, q: InvPoset, sep: str = "") -> InvPoset:
         (x, y)
         for x, (a, b) in names.items()
         for y, (c, d) in names.items()
-        if p.base.leq(a, c) and q.base.leq(b, d)
+        if p.leq(a, c) and q.leq(b, d)
     )
     inv = {x: p.i(a) + sep + q.i(b) for x, (a, b) in names.items()}
     return make_invposet(from_pairs(names, le), inv)
@@ -737,40 +751,38 @@ def string_fixed_points(p: InvPoset) -> tuple[str, ...]:
 
 
 def string_self_below(p: InvPoset) -> tuple[str, ...]:
-    return tuple([x for x in p.elements if p.base.leq(x, p.i(x))])
+    return tuple([x for x in p.elements if p.leq(x, p.i(x))])
 
 
 def reference_check_m2(p: InvPoset) -> tuple[bool, str | None]:
     fixed = string_fixed_points(p)
     for x in string_self_below(p):
-        if not any(p.base.leq(x, z) for z in fixed):
+        if not any(p.leq(x, z) for z in fixed):
             return False, x
     return True, None
 
 
 def reference_check_k2(p: InvPoset) -> tuple[bool, tuple[str, str] | None]:
-    base = p.base
     self_below = string_self_below(p)
     for x, y in itertools.combinations_with_replacement(self_below, 2):
-        if not (base.leq(x, p.i(y)) and base.leq(y, p.i(x))):
+        if not (p.leq(x, p.i(y)) and p.leq(y, p.i(x))):
             continue
-        if not any(base.leq(x, z) and base.leq(y, z) for z in self_below):
+        if not any(p.leq(x, z) and p.leq(y, z) for z in self_below):
             return False, (x, y)
     return True, None
 
 
 def reference_demorgan_core(q: InvPoset) -> InvPoset:
-    base = q.base
     fixed = string_fixed_points(q)
     carrier = [
         x
         for x in q.elements
         if any(
-            base.leq(y, x) and base.leq(y, q.i(x)) and any(base.leq(y, z) for z in fixed)
+            q.leq(y, x) and q.leq(y, q.i(x)) and any(q.leq(y, z) for z in fixed)
             for y in q.elements
         )
     ]
-    return q.restrict(q.base.mask(carrier))
+    return q.restrict(q.mask(carrier))
 
 
 def m3_fast_path(p: InvPoset) -> bool:
@@ -779,14 +791,13 @@ def m3_fast_path(p: InvPoset) -> bool:
     Quantifies over triples whose pairwise joins sit below their own
     involutes and asks the same of the triple join.
     """
-    if not lattice_report(p.base).is_nonempty_lattice:
+    if not lattice_report(p).is_nonempty_lattice:
         raise PreconditionError("triple-wise check requires a nonempty lattice")
-    base = p.base
 
     def good(*xs: str) -> bool:
-        j = scan_join(base, xs)
+        j = scan_join(p, xs)
         assert j is not None
-        return base.leq(j, p.i(j))
+        return p.leq(j, p.i(j))
 
     for x, y, z in itertools.combinations_with_replacement(p.elements, 3):
         if good(x, y) and good(x, z) and good(y, z) and not good(x, y, z):
@@ -871,21 +882,20 @@ def reference_kleene_core_order(q: InvPoset):
     """The carrier and order of `kleene_core(q)` from its three clauses,
     pair by pair: x <= y is kept when both sit below their involutes,
     both sit above them, or a fixed point lies between."""
-    base = q.base
     fixed = set(q.fixed_points)
     carrier = tuple(
-        x for x in q.elements if any(base.leq(x, z) or base.leq(z, x) for z in fixed)
+        x for x in q.elements if any(q.leq(x, z) or q.leq(z, x) for z in fixed)
     )
 
     def keep(x: str, y: str) -> bool:
-        if base.leq(x, q.i(x)) and base.leq(y, q.i(y)):
+        if q.leq(x, q.i(x)) and q.leq(y, q.i(y)):
             return True
-        if base.leq(q.i(x), x) and base.leq(q.i(y), y):
+        if q.leq(q.i(x), x) and q.leq(q.i(y), y):
             return True
-        return any(base.leq(x, z) and base.leq(z, y) for z in fixed)
+        return any(q.leq(x, z) and q.leq(z, y) for z in fixed)
 
     le = frozenset(
-        (x, y) for x in carrier for y in carrier if base.leq(x, y) and keep(x, y)
+        (x, y) for x in carrier for y in carrier if q.leq(x, y) and keep(x, y)
     )
     return carrier, le
 
@@ -952,7 +962,7 @@ def reference_mu_set(q, variety: str) -> list:
     core = core_of(q, variety)
     if not _finitary(q, variety, core):
         raise PreconditionError("mu_set asked of a non-finitary instance")
-    return [inclusion_unifier(interval_structure(core, x), q) for x in core.base.minimals()]
+    return [inclusion_unifier(interval_structure(core, x), q) for x in core.minimals()]
 
 
 def reference_classify(q, variety: str) -> UnifClassification:
@@ -997,10 +1007,8 @@ def reference_more_general(u1, u2) -> bool:
     for t in u1.dom.elements:
         fibres.setdefault(u1(t), []).append(t)
     allowed = {x: fibres.get(u2(x), ()) for x in u2.dom.elements}
-    if isinstance(u1, InvMorphism):
-        maps = search_maps(u2.dom.base, u1.dom.base, allowed, u2.dom.mate, u1.dom.mate)
-    else:
-        maps = search_maps(u2.dom, u1.dom, allowed)
+    mates = (u2.dom.mate, u1.dom.mate) if isinstance(u1, InvMorphism) else ()
+    maps = search_maps(u2.dom, u1.dom, allowed, *mates)
     return next(maps, None) is not None
 
 
@@ -1034,7 +1042,7 @@ def reference_inv_restrict(p: InvPoset, keep) -> InvPoset:
     for x in keep_set:
         if p.inv[x] not in keep_set:
             raise ValidationError(f"selection not involution-closed at {x!r}", witness=x)
-    return make_invposet(reference_restrict(p.base, keep_set), p.inv)
+    return make_invposet(reference_restrict(p, keep_set), p.inv)
 
 
 def reference_derive_tags(carrier: Poset, neg) -> frozenset[str]:

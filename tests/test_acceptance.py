@@ -47,7 +47,7 @@ from morgan_unify.gallery import (
 from morgan_unify.involutive import make_inv_morphism, make_invposet
 from morgan_unify.unification import core_of
 
-from reference import POSET_CLASS_COUNTS, cube_embedding, oracle_poset_retraction
+from reference import POSET_CLASS_COUNTS, bare, cube_embedding, oracle_poset_retraction
 
 
 def report(criterion, started, budget_seconds, detail=""):
@@ -158,7 +158,7 @@ def test_criterion_4_constructive_retractions():
 
 def test_criterion_5_classification_goldens():
     started = time.time()
-    assert classify(DIAMOND.base, "bdl").utype == "unitary"
+    assert classify(bare(DIAMOND), "bdl").utype == "unitary"
 
     antichain = classify(validate_poset(["a", "b"], []), "bdl")
     assert antichain.utype == "finitary"

@@ -340,6 +340,29 @@ class TestOtherCommands:
         )
         assert json.loads(out)["count"] == 2
 
+    @pytest.mark.parametrize(
+        "name, variety", [("m1_pattern.json", "demorgan"), ("diamond.json", "kleene")]
+    )
+    def test_oracle_unifiers_default_variety(self, name, variety, data_dir, cli):
+        # an involutive document is a poset too; its default is not bdl
+        code, out = cli(
+            ["oracle", str(data_dir / name), "--check", "unifiers", "--bound", "1"]
+        )
+        assert code == 0 and json.loads(out)["variety"] == variety
+
+    def test_classify_bdl_refuses_an_invposet(self, data_dir, cli):
+        code, out = cli(["classify", str(data_dir / "diamond.json"), "--variety", "bdl"])
+        assert code == 3
+        assert json.loads(out) == {"error": "bdl instances are bare posets"}
+
+    @pytest.mark.parametrize("family, cap", [("bdl", 160), ("k1", 80), ("k2", 30), ("m1", 80), ("m2", 11)])
+    def test_witness_refuses_n_past_its_cap(self, family, cap, cli):
+        code, out = cli(["witness", "--family", family, "--n", str(cap + 2)])
+        assert code == 4
+        assert json.loads(out) == {
+            "error": f"witness guard: family {family!r} needs n <= {cap}"
+        }
+
     def test_witness_with_anchors(self, cli):
         code, out = cli(["witness", "--family", "bdl", "--n", "5", "--anchors"])
         doc = json.loads(out)

@@ -47,7 +47,7 @@ class TestObjectLevel:
     def test_irreducibles_of_free_demorgan_one(self, fm1):
         ji = join_irreducibles(fm1)
         assert len(ji.elements) == 4
-        assert find_isomorphism(ji, DIAMOND.base) is not None
+        assert find_isomorphism(ji, DIAMOND) is not None
 
     def test_irreducibles_of_two_chain(self):
         two = validate_algebra(validate_poset(["0", "1"], [("0", "1")]))
@@ -64,7 +64,7 @@ class TestObjectLevel:
         assert find_isomorphism(alg.carrier, boolean_four().carrier) is not None
 
     def test_downsets_of_diamond_poset(self, fm1):
-        alg = downset_algebra(DIAMOND.base)
+        alg = downset_algebra(DIAMOND)
         assert alg.elements == ("{}", "{2}", "{2,0}", "{2,1}", "{2,0,1}", "{2,0,1,3}")
         assert find_isomorphism(alg.carrier, fm1.carrier) is not None
 

@@ -14,6 +14,7 @@ from morgan_unify import (
     enumerate_invposets_upto,
     is_projective_dual,
     kleene_part,
+    lattice_report,
     oracle_retraction_search,
     power,
     product,
@@ -105,10 +106,10 @@ class TestIndexInvolution:
         inputs = [*invposets_upto_6, *gallery, *powers, *map(kleene_part, powers), *witnesses]
         verdicts = set()
         for p in inputs:
-            index = p.base.index
+            index = p.index
             assert p.mate == tuple(index[p.i(x)] for x in p.elements)
-            assert p.fixed_mask == p.base.mask(string_fixed_points(p))
-            assert p.self_below_mask == p.base.mask(string_self_below(p))
+            assert p.fixed_mask == p.mask(string_fixed_points(p))
+            assert p.self_below_mask == p.mask(string_self_below(p))
             m2, k2 = check_m2(p), check_k2(p)
             assert m2 == reference_check_m2(p)
             assert k2 == reference_check_k2(p)
@@ -134,7 +135,7 @@ class TestDeciders:
 
     def test_bdl_on_poset(self, crown):
         assert not is_projective_dual(crown, "bdl")[0]
-        assert is_projective_dual(DIAMOND.base, "bdl")[0]
+        assert is_projective_dual(DIAMOND, "bdl")[0]
 
 
 class TestCanonicalEmbedding:
@@ -187,8 +188,8 @@ class TestCanonicalEmbedding:
         assert len(set(vectors.values())) == len(iv.elements)
         for x in iv.elements:
             for y in iv.elements:
-                if ambient.base.leq(vectors[x], vectors[y]):
-                    assert iv.base.leq(x, y)
+                if ambient.leq(vectors[x], vectors[y]):
+                    assert iv.leq(x, y)
 
 
 class TestBuildRetraction:
@@ -320,13 +321,13 @@ class TestDigitVectorsAgainstMaterialised:
         ambient = power(DIAMOND, n)
         assert names == list(ambient.elements)
         steps = [(names[k], names[j]) for k, j in _cover_steps(n)]
-        assert sorted(steps) == sorted(ambient.base.covers())
-        assert validate_poset(names, steps).up_masks == ambient.base.up_masks
+        assert sorted(steps) == sorted(ambient.covers())
+        assert validate_poset(names, steps).up_masks == ambient.up_masks
         # inside the Kleene part, the steps between its own vectors
         k_part = kleene_part(ambient)
         inside = set(k_part.elements)
         kept = [(a, b) for a, b in steps if a in inside and b in inside]
-        assert validate_poset(k_part.elements, kept).up_masks == k_part.base.up_masks
+        assert validate_poset(k_part.elements, kept).up_masks == k_part.up_masks
 
     def test_embedding_check_agrees_on_broken_vectors(self, invposets_upto_6):
         verdicts = []
@@ -399,6 +400,12 @@ class TestOracle:
         for x in ch.elements:
             assert found(x) == x
 
+    def test_kleene_refused_on_non_kleene_input(self, antichain_swap):
+        # as build_retraction refuses it: the Kleene part of the ambient
+        # holds no vector of a non-Kleene point
+        with pytest.raises(PreconditionError, match="non-Kleene object"):
+            oracle_retraction_search(antichain_swap, variety="kleene")
+
     def test_size_guard(self):
         # D^5's 1,024 points are more than any map into D^4 separates
         with pytest.raises(SizeGuardError, match="1024 points exceed the 256 of D"):
@@ -433,6 +440,18 @@ class TestFastPath:
     def test_requires_lattice(self, antichain_swap):
         with pytest.raises(PreconditionError):
             m3_fast_path(antichain_swap)
+
+    def test_lattices_meet_m3_k1_and_k2(self, invposets_upto_8):
+        # on a lattice i is a dual automorphism, so the self-below part is
+        # closed under meets and under joins of points below each other's
+        # involutes; classify's De Morgan tests leave m3 out for this
+        lattices = [
+            iv for iv in invposets_upto_8 if len(iv) <= 7 and lattice_report(iv).is_nonempty_lattice
+        ]
+        assert len(lattices) == 42
+        for iv in lattices:
+            rep = condition_report(iv)
+            assert rep.m3 and rep.k1 and rep.k2, iv
 
     def test_agreement_on_lattice_corpus(self):
         # both routes must agree whenever the carrier is a lattice

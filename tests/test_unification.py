@@ -48,6 +48,7 @@ from morgan_unify.unification import FINITARY, PATTERNS, core_of, witness_family
 from morphisms import is_identity
 from reference import (
     NULL_PATTERN_SHAPES,
+    bare,
     le_pairs,
     ordered_brute_force,
     reference_classify,
@@ -71,11 +72,16 @@ class TestSolvability:
     def test_diamond_solvable_kleene(self, diamond):
         assert is_solvable(diamond, "kleene")
 
-    def test_variety_mismatch(self, antichain_swap, crown):
+    def test_variety_mismatch(self, antichain_swap, crown, diamond):
         with pytest.raises(PreconditionError):
             is_solvable(antichain_swap, "kleene")
         with pytest.raises(PreconditionError):
             is_solvable(crown, "demorgan")
+        # an InvPoset is a Poset, but bdl instances carry no involution
+        unifiers = lambda q, v: list(enumerate_unifiers_bounded(q, v, 1))
+        for decide in (is_solvable, classify, mu_set, unifiers):
+            with pytest.raises(PreconditionError, match="bdl instances are bare posets"):
+                decide(diamond, "bdl")
 
 
 class TestKleeneCore:
@@ -92,7 +98,7 @@ class TestKleeneCore:
         )
         core = kleene_core(q)
         assert core.elements == q.elements
-        assert le_pairs(core.base) == le_pairs(q.base)
+        assert le_pairs(core) == le_pairs(q)
 
     def test_unseparated_pair_dropped(self):
         # x below y with x on the lower side, y on the upper side, and no
@@ -106,15 +112,15 @@ class TestKleeneCore:
         )
         core = kleene_core(q)
         assert set(core.elements) == set(q.elements)
-        assert q.base.leq("x", "y") and not core.base.leq("x", "y")
-        assert le_pairs(q.base) - le_pairs(core.base) == {("x", "y"), ("~y", "~x")}
+        assert q.leq("x", "y") and not core.leq("x", "y")
+        assert le_pairs(q) - le_pairs(core) == {("x", "y"), ("~y", "~x")}
 
     def test_matches_pairwise_reference(self, invposets_upto_6, pattern_instances):
         kleene = [iv for iv in invposets_upto_6 if iv.is_kleene]
         kleene += [pattern_instances["k1"], pattern_instances["k2"]]
         for iv in kleene:
             core = kleene_core(iv)
-            assert (core.elements, le_pairs(core.base)) == reference_kleene_core_order(iv)
+            assert (core.elements, le_pairs(core)) == reference_kleene_core_order(iv)
 
     @given(invposets(max_size=4))
     @settings(max_examples=40)
@@ -150,7 +156,7 @@ class TestDeMorganCore:
 
 class TestClassify:
     def test_diamond_poset_bdl_unitary(self, diamond):
-        result = classify(diamond.base, "bdl")
+        result = classify(bare(diamond), "bdl")
         assert result.utype == "unitary"
         assert isinstance(result.certificate, MostGeneral)
         assert is_identity(result.certificate.unifier)
@@ -243,9 +249,9 @@ def layered_forest(widths, seed):
 
 def beside(first, second):
     """The disjoint union, first's points listed first."""
-    bases = [s.base if isinstance(s, InvPoset) else s for s in (first, second)]
     union = validate_poset(
-        [x for b in bases for x in b.elements], [c for b in bases for c in b.covers()]
+        [x for b in (first, second) for x in b.elements],
+        [c for b in (first, second) for c in b.covers()],
     )
     if isinstance(first, InvPoset):
         return validate_involutive(union, {**first.inv, **second.inv})
@@ -268,9 +274,9 @@ class TestClassifyAgainstReference:
         ]
         forest = layered_forest((5,) * 12, seed=1401)
         assert len(forest) == 60 and len(forest.minimals()) > 1
-        bdl = [*posets_upto_6, crown, beside(point.base, crown), forest, beside(forest, crown)]
+        bdl = [*posets_upto_6, crown, beside(bare(point), crown), forest, beside(forest, crown)]
         cases = [(p, "bdl") for p in bdl]
-        cases += [(iv.base, "bdl") for iv in involutive]
+        cases += [(bare(iv), "bdl") for iv in involutive]
         cases += [(iv, "demorgan") for iv in involutive]
         cases += [(iv, "kleene") for iv in involutive if iv.is_kleene]
         seen = set()
@@ -320,7 +326,7 @@ class TestMuSet:
 
     def test_rejected_on_unitary_instance(self, diamond):
         with pytest.raises(PreconditionError):
-            mu_set(diamond.base, "bdl")
+            mu_set(bare(diamond), "bdl")
         with pytest.raises(PreconditionError):
             mu_set(diamond, "kleene")
 
@@ -358,9 +364,13 @@ class TestNullPatterns:
         assert anchors == {k: k for k in "xabcdyz"}
 
     def test_m3_tuple_findable_directly(self, pattern_instances):
-        anchors = find_null_pattern(pattern_instances["k2"], "m3")
-        assert anchors is not None
-        assert verify_null_pattern(pattern_instances["k2"], "m3", anchors)
+        # the m3 configuration is the k2 triple, found under the k2 name;
+        # m3 names no family, as no lattice fails it
+        q = pattern_instances["k2"]
+        anchors = find_null_pattern(q, "k2")
+        assert anchors is not None and verify_null_pattern(q, "k2", anchors)
+        with pytest.raises(PreconditionError):
+            find_null_pattern(q, "m3")
 
     def test_negative_clause_rechecked(self, crown):
         bad = {k: k for k in "xabcdy"}
@@ -374,7 +384,7 @@ def small_pattern_cases():
     for p in enumerate_posets_upto(5):
         yield p, "bdl"
     for iv in enumerate_invposets_upto(5):
-        for family in ("k1", "k2", "m1", "m2", "m3"):
+        for family in ("k1", "k2", "m1", "m2"):
             yield iv, family
 
 
@@ -400,7 +410,7 @@ class TestPatternTableAgainstReference:
             ("m1", "k1"),
             ("m1", "m1"),
             ("m2", "m2"),
-            ("m2", "m3"),
+            ("m2", "k2"),
         ],
     )
     def test_find_matches_reference_on_gallery(self, name, family, crown, pattern_instances):
@@ -479,7 +489,7 @@ class TestPatternSearchAgainstSearchMaps:
             assert anchors == search_maps_find_null_pattern(p, "bdl"), p
             found.add(("bdl", anchors is not None))
         for iv in [*invposets_upto_6, *pattern_instances.values()]:
-            for family in ("k1", "k2", "m1", "m2", "m3"):
+            for family in ("k1", "k2", "m1", "m2"):
                 anchors = find_null_pattern(iv, family)
                 assert anchors == search_maps_find_null_pattern(iv, family), (iv, family)
                 found.add((family, anchors is not None))
@@ -544,8 +554,8 @@ def larger_involutive_inputs():
 
 
 class TestPatternSearchPrunes:
-    """The join prune (bdl, k1, m1) and the 3-completeness pre-check (k2,
-    m3) skip only searches that hold no match."""
+    """The join prune (bdl, k1, m1) and the 3-completeness pre-check (k2)
+    skip only searches that hold no match."""
 
     def test_pattern_free_inputs_end_fast(self):
         d4 = power(DIAMOND, 4)
@@ -553,7 +563,6 @@ class TestPatternSearchPrunes:
             (chain(200), "bdl"),
             (grid(12, 14), "bdl"),
             (d4, "k2"),
-            (d4, "m3"),
             (kleene_part(d4), "k2"),
         ]:
             start = time.perf_counter()
@@ -574,15 +583,14 @@ class TestPatternSearchPrunes:
             anchors = find_null_pattern(q, family)
             assert anchors is not None
             assert anchors == search_maps_find_null_pattern(q, family)
-            base = q.base if isinstance(q, InvPoset) else q
-            assert base.join([anchors["a"], anchors["b"]]) is None
+            assert q.join([anchors["a"], anchors["b"]]) is None
 
     def test_join_prune_on_witness_structures(self):
         cases = [(witness_family("bdl", n).structure, "bdl") for n in (1, 2, 3, 4)]
         for family in ("k1", "m1"):
             for n in (2, 3):
                 t = witness_family(family, n).structure
-                cases += [(t, "k1"), (t, "m1"), (t.base, "bdl")]
+                cases += [(t, "k1"), (t, "m1"), (t, "bdl")]
         for q, family in cases:
             assert find_null_pattern(q, family) == search_maps_find_null_pattern(q, family)
 
@@ -593,7 +601,6 @@ class TestPatternSearchPrunes:
             for core in cores:
                 anchors = find_null_pattern(core, "k2")
                 assert anchors == search_maps_find_null_pattern(core, "k2"), core
-                assert find_null_pattern(core, "m3") == anchors
                 if anchors is not None:
                     # the pre-check's premise fails wherever a match exists
                     assert not is_three_complete(self_below_subposet(core))[0]
@@ -634,12 +641,9 @@ class TestMoreGeneral:
             unifiers = list(enumerate_unifiers_bounded(q, variety, 3))
             for u1 in unifiers:
                 for u2 in unifiers:
-                    if variety == "bdl":
-                        dom2, dom1 = u2.dom, u1.dom
-                        build = partial(make_monotone_map, dom2, dom1)
-                    else:
-                        dom2, dom1 = u2.dom.base, u1.dom.base
-                        build = partial(make_inv_morphism, u2.dom, u1.dom)
+                    dom2, dom1 = u2.dom, u1.dom
+                    make = make_monotone_map if variety == "bdl" else make_inv_morphism
+                    build = partial(make, dom2, dom1)
                     factors = ordered_brute_force(
                         dom2,
                         dom1,
@@ -709,7 +713,7 @@ class TestMoreGeneral:
 
     def test_codomain_mismatch(self, crown, diamond):
         u = validate_monotone_map(validate_poset(["p"], []), crown, {"p": "x"})
-        v = validate_monotone_map(validate_poset(["p"], []), diamond.base, {"p": "2"})
+        v = validate_monotone_map(validate_poset(["p"], []), diamond, {"p": "2"})
         with pytest.raises(PreconditionError):
             more_general(u, v)
 
@@ -726,13 +730,13 @@ class TestMoreGeneral:
         c4, c4_copy = reversed_chain(4), reversed_chain(4)
         assert c4 == c4_copy and c4 is not c4_copy
         whole = make_inv_morphism(c4, c4, {x: x for x in c4.elements})
-        middle = c4_copy.restrict(c4_copy.base.mask(["c1", "c2"]))
+        middle = c4_copy.restrict(c4_copy.mask(["c1", "c2"]))
         part = make_inv_morphism(middle, c4_copy, {"c1": "c1", "c2": "c2"})
         assert more_general(whole, part) and not more_general(part, whole)
 
         swap = validate_involutive(validate_poset(["a", "b"], []), {"a": "b", "b": "a"})
-        fixed = validate_involutive(swap.base, {"a": "a", "b": "b"})
-        assert swap.base is fixed.base and swap != fixed
+        fixed = validate_involutive(swap, {"a": "a", "b": "b"})
+        assert swap != fixed
         w1 = make_inv_morphism(swap, swap, {"a": "a", "b": "b"})
         w2 = make_inv_morphism(fixed, fixed, {"a": "a", "b": "b"})
         with pytest.raises(PreconditionError):

@@ -9,6 +9,7 @@ from morgan_unify import (
     instantiate_witness,
     lattice_report,
     more_general,
+    validate_involutive,
     witness_family,
 )
 
@@ -91,6 +92,19 @@ def test_index_minimums():
         witness_family("nope", 3)
 
 
+@pytest.mark.parametrize("n", [1, 3, 5, 7])
+def test_m2_from_covers_matches_the_vector_order(n):
+    # T_n of m2 is the Boolean cube on n-bit vectors with d between its
+    # bottom and top; the covers flip one 0 to 1
+    t = witness_family("m2", n).structure
+    cube = [v for v in t.elements if v != "d"]
+    for u in cube:
+        for v in cube:
+            assert t.leq(u, v) == all(a <= b for a, b in zip(u, v))
+    assert [x for x in t.elements if t.leq("0" * n, x) and t.leq(x, "d")] == ["0" * n, "d"]
+    assert t.up_of(["d"]) == {"d", "1" * n}
+
+
 IDENTITY_PATTERNS = {
     "bdl": {k: k for k in "xabcdy"},
     "k1": {k: k for k in "xabcdyz"},
@@ -117,6 +131,16 @@ def test_schema_instantiates_on_golden(family, n, instance_key, crown, pattern_i
     u = instantiate_witness(wf, IDENTITY_PATTERNS[family], q)
     u.check()
     assert len(u.dom.elements) == family_size(family, n)
+
+
+def test_bdl_witness_refuses_an_involutive_instance(crown):
+    # the crown with an antitone involution: the order alone accepts the
+    # bdl schema, the involutive poset does not
+    inv = dict(zip("xabcdy", "ydcbax"))
+    wf = witness_family("bdl", 3)
+    instantiate_witness(wf, IDENTITY_PATTERNS["bdl"], crown).check()
+    with pytest.raises(PreconditionError, match="bdl witness needs a bare poset"):
+        instantiate_witness(wf, IDENTITY_PATTERNS["bdl"], validate_involutive(crown, inv))
 
 
 def test_witness_chain_is_increasingly_general(crown):
